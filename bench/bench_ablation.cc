@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "core/enum_base.h"
@@ -41,6 +42,24 @@ std::string Timed(double limit_seconds, double* out_seconds,
   return buf;
 }
 
+/// The "vs default" cell: how many times slower or faster the variant ran
+/// than the default, with the word chosen by which time is smaller, or "-"
+/// when either run did not finish (or took no measurable time).
+std::string VsDefault(const std::string& default_cell, double default_s,
+                      const std::string& variant_cell, double variant_s) {
+  if (default_cell == "DNF" || variant_cell == "DNF" || default_s <= 0 ||
+      variant_s <= 0) {
+    return "-";
+  }
+  char buf[32];
+  if (variant_s > default_s) {
+    std::snprintf(buf, sizeof(buf), "%.1fx slower", variant_s / default_s);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.1fx faster", default_s / variant_s);
+  }
+  return buf;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -62,7 +81,6 @@ int main(int argc, char** argv) {
     std::printf("\n--- %s ---\n", name.c_str());
     TextTable table;
     table.SetHeader({"variant", "avg time (s)", "vs default"});
-    double base_time = 0;
 
     // A1: CoreTime builders.
     double fixpoint_s = 0, sweep_s = 0;
@@ -86,14 +104,8 @@ int main(int argc, char** argv) {
         });
     table.AddRow({"CoreTime: fixpoint advance (default)", fixpoint_cell,
                   "1.0x"});
-    char ratio[32];
-    if (fixpoint_cell != "DNF" && sweep_cell != "DNF" && fixpoint_s > 0) {
-      std::snprintf(ratio, sizeof(ratio), "%.1fx slower",
-                    sweep_s / fixpoint_s);
-    } else {
-      std::snprintf(ratio, sizeof(ratio), "-");
-    }
-    table.AddRow({"CoreTime: per-start sweeps", sweep_cell, ratio});
+    table.AddRow({"CoreTime: per-start sweeps", sweep_cell,
+                  VsDefault(fixpoint_cell, fixpoint_s, sweep_cell, sweep_s)});
 
     // A2: EnumBase dedup policies (shared skyline built once).
     VctBuildResult built = BuildVctAndEcs(g, queries[0].k, queries[0].range);
@@ -114,14 +126,9 @@ int main(int argc, char** argv) {
                                       nullptr, d)
               .ok();
         });
-    base_time = full_s;
     table.AddRow({"EnumBase: store full cores (paper)", full_cell, "1.0x"});
-    if (full_cell != "DNF" && fp_cell != "DNF" && fp_s > 0) {
-      std::snprintf(ratio, sizeof(ratio), "%.1fx faster", base_time / fp_s);
-    } else {
-      std::snprintf(ratio, sizeof(ratio), "-");
-    }
-    table.AddRow({"EnumBase: fingerprint dedup", fp_cell, ratio});
+    table.AddRow({"EnumBase: fingerprint dedup", fp_cell,
+                  VsDefault(full_cell, full_s, fp_cell, fp_s)});
 
     // A3: OTCD pruning.
     double prune_s = 0, noprune_s = 0;
@@ -147,13 +154,8 @@ int main(int argc, char** argv) {
           return true;
         });
     table.AddRow({"OTCD: cross-row pruning (default)", prune_cell, "1.0x"});
-    if (prune_cell != "DNF" && noprune_cell != "DNF" && prune_s > 0) {
-      std::snprintf(ratio, sizeof(ratio), "%.1fx slower",
-                    noprune_s / prune_s);
-    } else {
-      std::snprintf(ratio, sizeof(ratio), "-");
-    }
-    table.AddRow({"OTCD: no cross-row pruning", noprune_cell, ratio});
+    table.AddRow({"OTCD: no cross-row pruning", noprune_cell,
+                  VsDefault(prune_cell, prune_s, noprune_cell, noprune_s)});
     table.Print();
   }
   return 0;

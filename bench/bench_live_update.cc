@@ -339,7 +339,7 @@ int main(int argc, char** argv) {
         std::vector<std::pair<std::future<BatchResult>, uint64_t>> pending;
         WallTimer timer;
         for (uint32_t r = 0; r < rounds; ++r) {
-          pending.emplace_back((*live)->SubmitAsync(queries),
+          pending.emplace_back(SubmitFuture(**live, {queries}),
                                (*live)->version());
         }
         auto results = collect(&pending);
@@ -359,7 +359,7 @@ int main(int argc, char** argv) {
         const uint32_t per_event =
             std::max(1u, rounds / std::max(1u, events));
         for (uint32_t r = 0; r < rounds; ++r) {
-          pending.emplace_back((*live)->SubmitAsync(queries),
+          pending.emplace_back(SubmitFuture(**live, {queries}),
                                (*live)->version());
           if ((r + 1) % per_event == 0 &&
               next_event < update_stream.size()) {
@@ -508,9 +508,10 @@ int main(int argc, char** argv) {
         double max_submit = 0;
         for (uint32_t i = 0; i < submissions; ++i) {
           submit_at[i] = timer.ElapsedSeconds();
-          (*live)->SubmitAsync(
-              queries, &cq, i,
-              Deadline::AfterSeconds(overload_deadline_seconds));
+          SubmitToQueue(
+              **live,
+              {queries, Deadline::AfterSeconds(overload_deadline_seconds)},
+              &cq, i);
           max_submit =
               std::max(max_submit, timer.ElapsedSeconds() - submit_at[i]);
         }

@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
       std::vector<std::pair<std::future<BatchResult>, uint64_t>> pending;
       WallTimer timer;
       for (uint32_t r = 0; r < rounds; ++r) {
-        pending.emplace_back((*live)->SubmitAsync(queries),
+        pending.emplace_back(SubmitFuture(**live, {queries}),
                              (*live)->version());
       }
       auto results = collect(&pending);
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
       size_t next_event = 0;
       const uint32_t per_event = std::max(1u, rounds / std::max(1u, events));
       for (uint32_t r = 0; r < rounds; ++r) {
-        pending.emplace_back((*live)->SubmitAsync(queries),
+        pending.emplace_back(SubmitFuture(**live, {queries}),
                              (*live)->version());
         if ((r + 1) % per_event == 0 && next_event < update_stream.size()) {
           swaps.push_back((*live)->ApplyUpdates(update_stream[next_event]));

@@ -143,10 +143,10 @@ int RunLiveReplay(tkc::TemporalGraph graph,
   std::vector<std::future<BatchResult>> rounds;
   std::vector<std::future<Status>> swaps;
   for (int r = 0; r < repeat; ++r) {
-    rounds.push_back((*live)->SubmitAsync(queries));
+    rounds.push_back(SubmitFuture(**live, {queries}));
     for (const auto& event : events) {
       swaps.push_back((*live)->ApplyUpdates(event));
-      rounds.push_back((*live)->SubmitAsync(queries));
+      rounds.push_back(SubmitFuture(**live, {queries}));
     }
   }
 

@@ -31,15 +31,15 @@
 ///    (FrameParser), and writes responses from per-connection outbound
 ///    buffers — no thread per connection, no blocking I/O.
 ///  * **Query execution never runs on the loop.** A decoded query request
-///    is submitted to the LiveQueryEngine's async path
-///    (SubmitAsync(queries, cq, tag)); the engine's pool executes it
-///    against the pinned snapshot. A dedicated **completion drainer
+///    is submitted to the LiveQueryEngine's async verb through the
+///    completion-queue adapter (serve/submit.h); the engine's pool executes
+///    it against the pinned snapshot. A dedicated **completion drainer
 ///    thread** pops finished batches off the server's BatchCompletionQueue
 ///    and hands them to the loop (self-pipe wakeup), which streams the
 ///    per-query verdict frames back.
 ///  * **Deadlines propagate end to end.** A request's deadline_ms becomes a
-///    Deadline at decode time and rides into SubmitAsync — a backed-up
-///    request queue sheds the least-remaining-deadline batch over the wire
+///    Deadline at decode time and rides into Submit — a backed-up request
+///    queue sheds the least-remaining-deadline batch over the wire
 ///    exactly as in-process (explicit ResourceExhausted / Timeout verdicts,
 ///    never a silently missing answer).
 ///  * **Slow readers are backpressured, not buffered without bound.** When

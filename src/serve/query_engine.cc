@@ -1,6 +1,7 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -175,25 +176,18 @@ class QueryEngine::ArenaLease {
 };
 
 /// One queued async submission: the batch, its deadline, and the
-/// exactly-once completion callback.
+/// exactly-once completion. The completion may own a pin on the engine's
+/// owner (LiveQueryEngine's does), which then lives exactly as long as the
+/// batch's tasks hold this batch.
 struct QueryEngine::AsyncBatch {
-  std::vector<Query> queries;
-  double limit = 0;
-  Deadline deadline;  ///< unlimited unless the submission carried one
-  std::function<void(BatchResult&&)> done;
-  /// Keeps the engine's owner (e.g. the pinned GraphSnapshot) alive while
-  /// any task of this batch may still touch the engine.
-  std::shared_ptr<const void> lifetime;
+  BatchRequest request;
+  Completion done;
 };
 
 /// Shared in-flight state of one dispatched batch: leader tasks write
 /// disjoint outcome slots and the last to finish finalizes.
 struct QueryEngine::AsyncBatchState {
-  std::vector<Query> queries;
-  double limit = 0;
-  Deadline deadline;
-  std::function<void(BatchResult&&)> done;
-  std::shared_ptr<const void> lifetime;
+  AsyncBatch batch;
   std::vector<RunOutcome> outcomes;
   BatchPlan plan;
   std::atomic<size_t> remaining{0};
@@ -218,11 +212,7 @@ QueryEngine::QueryEngine(const TemporalGraph& g,
     : graph_(&g),
       options_(options),
       pool_(options.pool != nullptr ? options.pool : &ThreadPool::Shared()),
-      replica_rr_(std::make_unique<std::atomic<uint64_t>>(0)),
-      cache_(std::make_unique<StripedQueryCache>(
-          options.cache_capacity, options.cache_stripes > 0
-                                      ? options.cache_stripes
-                                      : StripedQueryCache::kDefaultStripes)),
+      cache_(std::make_unique<StripedQueryCache>(options.cache_capacity)),
       arenas_(std::make_unique<ArenaPool>()),
       stats_(std::make_unique<AtomicServeStats>()),
       async_(std::make_unique<AsyncState>(options.async_queue_capacity)) {}
@@ -236,9 +226,6 @@ QueryEngine& QueryEngine::operator=(QueryEngine&&) noexcept = default;
 
 StatusOr<QueryEngine> QueryEngine::Create(const TemporalGraph& g,
                                           const QueryEngineOptions& options) {
-  if (options.num_index_replicas < 1) {
-    return Status::InvalidArgument("num_index_replicas must be >= 1");
-  }
   QueryEngine engine(g, options);
   const bool want_index = options.build_index ||
                           options.preloaded_index != nullptr;
@@ -290,9 +277,7 @@ void QueryEngine::InstallAdmissionIndex(PhcIndex index) {
   // live-update layer wires the predecessor snapshot's engine in here so
   // every slice PhcIndex::Rebuild reused skips its sweep too.
   const QueryEngine* source = options_.emergence_source;
-  const PhcIndex* source_index =
-      source != nullptr && !source->replicas_.empty() ? &source->replicas_[0]
-                                                      : nullptr;
+  const PhcIndex* source_index = source != nullptr ? source->index() : nullptr;
   // Suffix-stitched slices get the incremental path: copy the source's
   // table and re-sweep only the recomputed band. Everything outside the
   // band is provably unchanged (the stitch carried those values), so the
@@ -328,26 +313,13 @@ void QueryEngine::InstallAdmissionIndex(PhcIndex index) {
   }
   options_.emergence_source = nullptr;  // never read again; do not dangle
   options_.emergence_bands = nullptr;
-  replicas_.reserve(options_.num_index_replicas);
-  for (int r = 1; r < options_.num_index_replicas; ++r) {
-    // Shallow copies: replicas alias the shared slice storage (see the
-    // num_index_replicas option comment).
-    replicas_.push_back(index);
-  }
-  replicas_.push_back(std::move(index));
-}
-
-const PhcIndex* QueryEngine::index(int replica) const {
-  if (replica < 0 || replica >= static_cast<int>(replicas_.size())) {
-    return nullptr;
-  }
-  return &replicas_[replica];
+  index_.emplace(std::move(index));
 }
 
 bool QueryEngine::MayContainCore(uint32_t k, Window range) const {
-  if (replicas_.empty() || k < 1) return true;
+  if (!index_ || k < 1) return true;
   if (!range.Valid() || range.end > graph_->num_timestamps()) return true;
-  const uint32_t built_max_k = replicas_[0].max_k();
+  const uint32_t built_max_k = index_->max_k();
   if (k > built_max_k) {
     // Beyond every built slice: provably empty only for a complete index.
     return !index_complete_;
@@ -366,36 +338,7 @@ std::vector<Timestamp> QueryEngine::ComputeEmergenceTable(
   return ComputeEmergence(slice);
 }
 
-bool QueryEngine::VertexInCore(VertexId u, Window window, uint32_t k) const {
-  if (replicas_.empty()) return false;
-  // Relaxed: the round-robin only spreads load; any interleaving of slot
-  // numbers is correct (replicas are identical read-only state).
-  const uint64_t slot =
-      replica_rr_->fetch_add(1, std::memory_order_relaxed);
-  const PhcIndex& replica = replicas_[slot % replicas_.size()];
-  return replica.VertexInCore(u, window, k);
-}
-
-RunOutcome QueryEngine::ServeOne(const Query& query, double limit_seconds,
-                                 const Deadline& deadline) {
-  RunOutcome out;
-  // Expiry precedes the cache: a dead deadline must not even pay (or be
-  // masked by) a lookup — the caller asked for an answer by a time that has
-  // already passed, and Timeout is that answer on every path.
-  if (deadline.Expired()) {
-    out.status = Status::Timeout("deadline expired before serving");
-    Bump(stats_->queries_served);
-    return out;
-  }
-  if (cache_->enabled() && cache_->Lookup(query, &out)) {
-    Bump(stats_->queries_served);
-    return out;
-  }
-  return ExecuteUncached(query, limit_seconds, deadline);
-}
-
 RunOutcome QueryEngine::ExecuteUncached(const Query& query,
-                                        double limit_seconds,
                                         const Deadline& batch_deadline) {
   RunOutcome out;
   if (batch_deadline.Expired()) {
@@ -419,41 +362,19 @@ RunOutcome QueryEngine::ExecuteUncached(const Query& query,
     return out;
   }
 
+  const double limit_seconds = options_.per_query_limit_seconds;
   Deadline deadline =
       limit_seconds > 0
           ? Deadline::Earlier(Deadline::AfterSeconds(limit_seconds),
                               batch_deadline)
           : batch_deadline;
-  ArenaLease lease(this, options_.reuse_arenas &&
-                             UsesBuildArena(options_.algorithm));
+  ArenaLease lease(this, UsesBuildArena(options_.algorithm));
   out = RunAlgorithm(options_.algorithm, *graph_, query, deadline,
                      lease.get());
   Bump(stats_->queries_served);
   Bump(stats_->executed);
   if (out.status.ok()) cache_->Insert(query, out);
   return out;
-}
-
-RunOutcome QueryEngine::Serve(const Query& query) {
-  return Serve(query, options_.per_query_limit_seconds);
-}
-
-RunOutcome QueryEngine::Serve(const Query& query,
-                              double per_query_limit_seconds) {
-  Bump(stats_->batches);
-  return ServeOne(query, per_query_limit_seconds);
-}
-
-RunOutcome QueryEngine::ServeWithDeadline(const Query& query,
-                                          const Deadline& deadline) {
-  Bump(stats_->batches);
-  if (deadline.Expired()) Bump(stats_->deadlines_expired);
-  return ServeOne(query, options_.per_query_limit_seconds, deadline);
-}
-
-std::vector<RunOutcome> QueryEngine::ServeBatch(
-    const std::vector<Query>& queries) {
-  return ServeBatch(queries, options_.per_query_limit_seconds);
 }
 
 std::vector<RunOutcome> QueryEngine::ServeBatch(
@@ -472,8 +393,8 @@ std::vector<RunOutcome> QueryEngine::ServeBatch(
   std::vector<RunOutcome> outcomes(queries.size());
   const BatchPlan plan = PreScanBatch(queries, &outcomes);
   auto run_leader = [&](size_t g) {
-    outcomes[plan.leaders[g]] = ExecuteUncached(
-        queries[plan.leaders[g]], options_.per_query_limit_seconds, deadline);
+    outcomes[plan.leaders[g]] =
+        ExecuteUncached(queries[plan.leaders[g]], deadline);
   };
   if (pool_->num_threads() > 1 && plan.leaders.size() > 1) {
     pool_->ParallelFor(plan.leaders.size(),
@@ -489,9 +410,8 @@ QueryEngine::BatchPlan QueryEngine::PreScanBatch(
     const std::vector<Query>& queries, std::vector<RunOutcome>* outcomes) {
   // Answer cache hits inline (no fan-out cost for hit-heavy workloads) and
   // group the misses by (k, range) so each distinct query executes at most
-  // once per batch (dedup_batches). Each hit pays only its own stripe's
-  // lock; the grouping map is batch-local, so no engine-wide lock is held
-  // across the scan.
+  // once per batch. Each hit pays only its own stripe's lock; the grouping
+  // map is batch-local, so no engine-wide lock is held across the scan.
   BatchPlan plan;
   std::unordered_map<QueryCacheKey, size_t, QueryCacheKeyHasher> group_of;
   Bump(stats_->batches);
@@ -500,13 +420,11 @@ QueryEngine::BatchPlan QueryEngine::PreScanBatch(
       Bump(stats_->queries_served);
       continue;
     }
-    if (options_.dedup_batches) {
-      const QueryCacheKey key{queries[i].k, queries[i].range};
-      auto [it, inserted] = group_of.try_emplace(key, plan.leaders.size());
-      if (!inserted) {
-        plan.followers[it->second].push_back(i);
-        continue;
-      }
+    const QueryCacheKey key{queries[i].k, queries[i].range};
+    auto [it, inserted] = group_of.try_emplace(key, plan.leaders.size());
+    if (!inserted) {
+      plan.followers[it->second].push_back(i);
+      continue;
     }
     plan.leaders.push_back(i);
     plan.followers.emplace_back();
@@ -533,89 +451,24 @@ void QueryEngine::FanOutFollowers(const BatchPlan& plan,
   }
 }
 
-std::vector<RunOutcome> QueryEngine::ServeBatch(
-    const std::vector<Query>& queries, double per_query_limit_seconds) {
-  std::vector<RunOutcome> outcomes(queries.size());
-  const BatchPlan plan = PreScanBatch(queries, &outcomes);
-
-  // Execute the distinct misses, sharded over the pool.
-  auto run_leader = [&](size_t g) {
-    outcomes[plan.leaders[g]] =
-        ExecuteUncached(queries[plan.leaders[g]], per_query_limit_seconds);
-  };
-  if (pool_->num_threads() > 1 && plan.leaders.size() > 1) {
-    pool_->ParallelFor(plan.leaders.size(),
-                       [&](size_t g, int /*worker*/) { run_leader(g); });
-  } else {
-    for (size_t g = 0; g < plan.leaders.size(); ++g) run_leader(g);
-  }
-
-  FanOutFollowers(plan, &outcomes);
-  return outcomes;
-}
-
 // --- async submission ------------------------------------------------------
-
-std::future<BatchResult> QueryEngine::SubmitAsync(std::vector<Query> queries) {
-  return SubmitAsync(std::move(queries), Deadline());
-}
-
-std::future<BatchResult> QueryEngine::SubmitAsync(std::vector<Query> queries,
-                                                  const Deadline& deadline) {
-  auto promise = std::make_shared<std::promise<BatchResult>>();
-  std::future<BatchResult> future = promise->get_future();
-  SubmitAsyncWithCallback(std::move(queries), deadline,
-                          [promise](BatchResult&& result) {
-                            promise->set_value(std::move(result));
-                          });
-  return future;
-}
-
-void QueryEngine::SubmitAsync(std::vector<Query> queries,
-                              BatchCompletionQueue* cq, uint64_t tag) {
-  SubmitAsync(std::move(queries), cq, tag, Deadline());
-}
-
-void QueryEngine::SubmitAsync(std::vector<Query> queries,
-                              BatchCompletionQueue* cq, uint64_t tag,
-                              const Deadline& deadline) {
-  SubmitAsyncWithCallback(std::move(queries), deadline,
-                          [cq, tag](BatchResult&& result) {
-                            result.tag = tag;
-                            cq->Deliver(std::move(result));
-                          });
-}
 
 void QueryEngine::SetLifetimeGuard(std::weak_ptr<const void> guard) {
   lifetime_guard_ = std::move(guard);
 }
 
-void QueryEngine::SubmitAsyncWithCallback(
-    std::vector<Query> queries, std::function<void(BatchResult&&)> on_done,
-    std::shared_ptr<const void> lifetime) {
-  SubmitAsyncWithCallback(std::move(queries), Deadline(), std::move(on_done),
-                          std::move(lifetime));
-}
-
 void QueryEngine::CompleteAsyncBatch(AsyncBatch&& batch,
                                      const Status& status) {
   BatchResult result;
-  result.outcomes.resize(batch.queries.size());
+  result.outcomes.resize(batch.request.queries.size());
   for (RunOutcome& out : result.outcomes) out.status = status;
   batch.done(std::move(result));
   FinishInflight();
 }
 
-void QueryEngine::SubmitAsyncWithCallback(
-    std::vector<Query> queries, const Deadline& deadline,
-    std::function<void(BatchResult&&)> on_done,
-    std::shared_ptr<const void> lifetime) {
-  AsyncBatch batch;
-  batch.queries = std::move(queries);
-  batch.limit = options_.per_query_limit_seconds;
-  batch.deadline = deadline;
-  batch.done = std::move(on_done);
-  batch.lifetime = std::move(lifetime);
+void QueryEngine::Submit(BatchRequest request, Completion done) {
+  const Deadline deadline = request.deadline;
+  AsyncBatch batch{std::move(request), std::move(done)};
   {
     AsyncState* async = async_.get();
     MutexLock lock(async->mu);
@@ -645,7 +498,7 @@ void QueryEngine::SubmitAsyncWithCallback(
   const PushOutcome outcome = async_->queue.PushOrEvict(
       &batch,
       [](const AsyncBatch& a, const AsyncBatch& b) {
-        return a.deadline.ExpiresBefore(b.deadline);
+        return a.request.deadline.ExpiresBefore(b.request.deadline);
       },
       &evicted);
   switch (outcome) {
@@ -686,9 +539,9 @@ void QueryEngine::ScheduleDispatcher() {
   // its ticket before dropping the pin, so an owner whose last reference
   // dies inside an engine task never waits on that task's own ticket.
   //
-  // On a 1-thread pool Submit runs inline: the whole async path completes
-  // synchronously before SubmitAsync returns, matching the engine's
-  // serial-degeneration contract.
+  // On a 1-thread pool the pool's Submit runs inline: the whole async path
+  // completes synchronously before QueryEngine::Submit returns, matching
+  // the engine's serial-degeneration contract.
   std::shared_ptr<const void> pin = lifetime_guard_.lock();
   pool_->Submit([this, pin] { DispatchAsyncBatches(); });
 }
@@ -715,20 +568,17 @@ void QueryEngine::ProcessAsyncBatch(AsyncBatch batch) {
   // A batch whose deadline died in the queue is dropped here, before the
   // pre-scan: executing it would spend pool time on an answer the caller
   // has already given up on.
-  if (batch.deadline.Expired()) {
+  if (batch.request.deadline.Expired()) {
     Bump(stats_->deadlines_expired);
     CompleteAsyncBatch(std::move(batch),
                        Status::Timeout("deadline expired before dispatch"));
     return;
   }
   auto state = std::make_shared<AsyncBatchState>();
-  state->queries = std::move(batch.queries);
-  state->limit = batch.limit;
-  state->deadline = batch.deadline;
-  state->done = std::move(batch.done);
-  state->lifetime = std::move(batch.lifetime);
-  state->outcomes.resize(state->queries.size());
-  state->plan = PreScanBatch(state->queries, &state->outcomes);
+  state->batch = std::move(batch);
+  const std::vector<Query>& queries = state->batch.request.queries;
+  state->outcomes.resize(queries.size());
+  state->plan = PreScanBatch(queries, &state->outcomes);
   if (state->plan.leaders.empty()) {  // pure cache-hit (or empty) batch
     FinalizeAsyncBatch(state);
     return;
@@ -748,8 +598,9 @@ void QueryEngine::ProcessAsyncBatch(AsyncBatch batch) {
       // tight deadlines behind it, short enough to keep fault runs fast.
       FaultStallIfArmed(kFaultDispatchSlowWorker, 20);
       const size_t i = state->plan.leaders[g];
+      const BatchRequest& request = state->batch.request;
       state->outcomes[i] =
-          ExecuteUncached(state->queries[i], state->limit, state->deadline);
+          ExecuteUncached(request.queries[i], request.deadline);
       if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         FinalizeAsyncBatch(state);
       }
@@ -762,7 +613,7 @@ void QueryEngine::FinalizeAsyncBatch(
   FanOutFollowers(state->plan, &state->outcomes);
   BatchResult result;
   result.outcomes = std::move(state->outcomes);
-  state->done(std::move(result));
+  state->batch.done(std::move(result));
   FinishInflight();
 }
 

@@ -260,14 +260,6 @@ std::shared_ptr<const GraphSnapshot> LiveQueryEngine::snapshot() const {
   return current_.load(std::memory_order_acquire);
 }
 
-BatchResult LiveQueryEngine::ServeBatch(const std::vector<Query>& queries) {
-  std::shared_ptr<const GraphSnapshot> pin = snapshot();
-  BatchResult result;
-  result.outcomes = pin->engine().ServeBatch(queries);
-  result.snapshot_version = pin->version();
-  return result;
-}
-
 BatchResult LiveQueryEngine::ServeBatch(const std::vector<Query>& queries,
                                         const Deadline& deadline) {
   std::shared_ptr<const GraphSnapshot> pin = snapshot();
@@ -277,47 +269,19 @@ BatchResult LiveQueryEngine::ServeBatch(const std::vector<Query>& queries,
   return result;
 }
 
-std::future<BatchResult> LiveQueryEngine::SubmitAsync(
-    std::vector<Query> queries) {
-  return SubmitAsync(std::move(queries), Deadline());
-}
-
-std::future<BatchResult> LiveQueryEngine::SubmitAsync(
-    std::vector<Query> queries, const Deadline& deadline) {
-  auto promise = std::make_shared<std::promise<BatchResult>>();
-  std::future<BatchResult> future = promise->get_future();
+void LiveQueryEngine::Submit(BatchRequest request, Completion done) {
   std::shared_ptr<const GraphSnapshot> pin = snapshot();
-  // The callback owns the pin: the snapshot (graph, engine, index) cannot
-  // die before the batch's result is delivered, no matter how many swaps
+  // The completion owns a pin: the snapshot (graph, engine, index) cannot
+  // die before the batch's tasks are done with it, no matter how many swaps
   // happen in between. Dropped batches (Timeout/ResourceExhausted) settle
-  // through the same callback, so they too carry the pinned version.
-  pin->engine().SubmitAsyncWithCallback(
-      std::move(queries), deadline,
-      [pin, promise](BatchResult&& result) {
-        result.snapshot_version = pin->version();
-        promise->set_value(std::move(result));
-      },
-      pin);
-  return future;
-}
-
-void LiveQueryEngine::SubmitAsync(std::vector<Query> queries,
-                                  BatchCompletionQueue* cq, uint64_t tag) {
-  SubmitAsync(std::move(queries), cq, tag, Deadline());
-}
-
-void LiveQueryEngine::SubmitAsync(std::vector<Query> queries,
-                                  BatchCompletionQueue* cq, uint64_t tag,
-                                  const Deadline& deadline) {
-  std::shared_ptr<const GraphSnapshot> pin = snapshot();
-  pin->engine().SubmitAsyncWithCallback(
-      std::move(queries), deadline,
-      [pin, cq, tag](BatchResult&& result) {
-        result.snapshot_version = pin->version();
-        result.tag = tag;
-        cq->Deliver(std::move(result));
-      },
-      pin);
+  // through the same completion, so they too carry the pinned version. The
+  // local pin keeps the engine alive across its own Submit call even when
+  // the batch settles inline.
+  pin->engine().Submit(std::move(request),
+                       [pin, done = std::move(done)](BatchResult&& result) {
+                         result.snapshot_version = pin->version();
+                         done(std::move(result));
+                       });
 }
 
 std::future<Status> LiveQueryEngine::ApplyUpdates(

@@ -25,7 +25,7 @@
 /// Consistency model — *pinned snapshots, no torn reads*:
 ///
 ///  * A GraphSnapshot is immutable: the temporal graph, the PHC admission
-///    index replicas, and the per-k emergence tables are all built once and
+///    index, and the per-k emergence tables are all built once and
 ///    never mutated (the engine's cache/arena internals are mutable but
 ///    internally synchronized and invisible to results).
 ///  * Every submission — sync or async — *pins* the snapshot that is
@@ -280,32 +280,16 @@ class LiveQueryEngine {
   /// update batches applied so far.
   uint64_t version() const { return snapshot()->version(); }
 
-  /// Serves synchronously on the calling thread against the pinned current
-  /// snapshot; the result's snapshot_version records which one.
-  BatchResult ServeBatch(const std::vector<Query>& queries);
-
-  /// Deadline-bounded flavor (see QueryEngine::ServeBatch(queries,
-  /// deadline) for the Timeout semantics).
+  /// The sync verb (serve/submit.h) against the pinned current snapshot;
+  /// the result's snapshot_version records which one.
   BatchResult ServeBatch(const std::vector<Query>& queries,
-                         const Deadline& deadline);
+                         const Deadline& deadline = Deadline());
 
-  /// Async submission against the pinned current snapshot; the future's
-  /// BatchResult carries the pinned version. See
-  /// QueryEngine::SubmitAsync for queueing/backpressure semantics.
-  std::future<BatchResult> SubmitAsync(std::vector<Query> queries);
-
-  /// Deadline-carrying flavor: never blocks on a full request queue; the
-  /// future always settles with served, Timeout, or ResourceExhausted
-  /// outcomes (see QueryEngine::SubmitAsync(queries, deadline)).
-  std::future<BatchResult> SubmitAsync(std::vector<Query> queries,
-                                       const Deadline& deadline);
-
-  /// Completion-queue flavor; the delivered result carries `tag` and the
-  /// pinned version.
-  void SubmitAsync(std::vector<Query> queries, BatchCompletionQueue* cq,
-                   uint64_t tag);
-  void SubmitAsync(std::vector<Query> queries, BatchCompletionQueue* cq,
-                   uint64_t tag, const Deadline& deadline);
+  /// The async verb (serve/submit.h) against the snapshot current at
+  /// submission. The completion owns the pin, so the snapshot outlives the
+  /// batch however many swaps land meanwhile; every result — dropped
+  /// batches included — carries the pinned version.
+  void Submit(BatchRequest request, Completion done);
 
   /// Enqueues one batch of edges for ingestion. Returns immediately with a
   /// future that resolves once a snapshot containing this batch has been
@@ -338,7 +322,7 @@ class LiveQueryEngine {
   /// DrainAsync() (see below), so Shutdown is safe to call while a network
   /// front end still holds completion queues: once it returns, no
   /// engine-side delivery will touch a caller-owned BatchCompletionQueue.
-  /// Serving (ServeBatch / SubmitAsync / snapshot) stays available.
+  /// Serving (ServeBatch / Submit / snapshot) stays available.
   /// Idempotent; the destructor calls it first.
   void Shutdown() TKC_EXCLUDES(pause_mu_, shutdown_mu_);
 

@@ -1,0 +1,160 @@
+#ifndef TKC_SERVE_SUBMIT_H_
+#define TKC_SERVE_SUBMIT_H_
+
+#include <cstdint>
+#include <functional>
+#include <future>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "util/mpsc_queue.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
+#include "util/timer.h"
+#include "workload/query_workload.h"
+
+/// \file submit.h
+/// The two serving verbs, shared by QueryEngine (serve/query_engine.h) and
+/// LiveQueryEngine (serve/snapshot.h), their request and result types, and
+/// the adapters over the async verb. Every engine has exactly:
+///
+///  * `ServeBatch(queries, deadline = Deadline())` — the sync verb. Runs on
+///    the calling thread: cache hits are answered inline and the caller
+///    joins the pool's ParallelFor over the batch's distinct misses, so it
+///    does part of the work itself. An already-expired deadline answers
+///    every query `Status::Timeout` without touching the cache.
+///  * `Submit(BatchRequest{queries, deadline}, Completion)` — the async
+///    verb. Enqueues the batch on the engine's bounded request queue and
+///    returns; a pool-resident dispatcher fans each batch's distinct misses
+///    out as individual pool tasks, so no worker blocks on a batch barrier.
+///
+/// Threading contract of Submit, for both engines and both adapters below:
+///
+///  * **Who runs the completion.** It runs exactly once: on the pool task
+///    that finishes the batch's last distinct miss (the dispatcher, for a
+///    batch answered wholly from the cache), or on the submitting thread
+///    when the batch is settled at submission (expired, shed, or the engine
+///    is shutting down). On a 1-thread pool every path runs inline, so
+///    Submit returns after the completion ran. A completion that blocks
+///    holds a pool worker for as long as it blocks.
+///  * **An unlimited deadline blocks on a full queue.** The submitter waits
+///    for room (producer backpressure), and such a batch is never shed.
+///  * **A finite deadline never blocks.** Already expired, the batch settles
+///    at once with every outcome `Status::Timeout`. On a full queue the
+///    batch with the least remaining deadline — a queued one or the
+///    incoming one — is shed with `Status::ResourceExhausted`. A batch whose
+///    deadline dies in the queue settles with `Timeout` at dispatch.
+///  * **Concurrency and lifetime.** Any number of threads may call either
+///    verb concurrently; batches dispatch FIFO and complete in any order.
+///    An engine must not be moved or destroyed while batches are in flight;
+///    its destructor (and DrainAsync) blocks until every accepted batch's
+///    completion has returned. LiveQueryEngine's completion also holds the
+///    pinned snapshot alive until it is destroyed.
+
+namespace tkc {
+
+/// One batch for the async verb.
+struct BatchRequest {
+  std::vector<Query> queries;
+  /// Unlimited by default. The initializer lets `{queries}` omit it
+  /// without a -Wmissing-field-initializers warning.
+  Deadline deadline{};
+};
+
+/// The completed answer to one batch.
+struct BatchResult {
+  std::vector<RunOutcome> outcomes;  ///< outcomes[i] answers queries[i]
+  /// Version of the graph snapshot the batch executed against — 0 from a
+  /// plain QueryEngine, the pinned snapshot's version from a
+  /// LiveQueryEngine (serve/snapshot.h).
+  uint64_t snapshot_version = 0;
+  /// Caller-chosen correlation tag (set by SubmitToQueue only).
+  uint64_t tag = 0;
+};
+
+/// Receives a batch's result; see the threading contract above.
+using Completion = std::function<void(BatchResult&&)>;
+
+/// A caller-owned queue of finished batches, for event-loop-shaped clients
+/// that multiplex many in-flight batches without holding futures. Engine
+/// completions Deliver (stamped with the submission's tag); the client pops
+/// with Next/TryNext. Bounded: a slow consumer eventually blocks the pool
+/// workers delivering completions, which is the intended backpressure.
+class BatchCompletionQueue {
+ public:
+  explicit BatchCompletionQueue(size_t capacity = 1024) : queue_(capacity) {}
+
+  /// Destruction shuts down first, so a queue dying under a slow consumer
+  /// cannot be freed while an engine-side Deliver still touches it.
+  ~BatchCompletionQueue() { Shutdown(); }
+
+  /// Blocks for the next finished batch; false once Shutdown() was called
+  /// and every delivered batch has been popped.
+  bool Next(BatchResult* out) { return queue_.Pop(out); }
+
+  /// Non-blocking variant; false when nothing is ready right now.
+  bool TryNext(BatchResult* out) { return queue_.TryPop(out); }
+
+  /// Unblocks every Deliver stuck on a full queue (its result is dropped),
+  /// waits for in-flight deliveries to leave the queue, then wakes blocked
+  /// consumers once the delivered backlog drains. After Shutdown returns no
+  /// engine-side Deliver touches this object, so destroying it is safe even
+  /// if a consumer stalled while batches were still completing. Idempotent.
+  void Shutdown() TKC_EXCLUDES(mu_) {
+    queue_.Close();
+    MutexLock lock(mu_);
+    while (delivering_ != 0) idle_.Wait(mu_);
+  }
+
+  size_t pending() const { return queue_.size(); }
+
+  /// Engine-side delivery (blocks while the queue is full; unblocked — with
+  /// the result dropped — by Shutdown()). Two scoped acquisitions bracket
+  /// the potentially-blocking Push, which must not run under the mutex (it
+  /// would deadlock Shutdown's wait against a full queue).
+  void Deliver(BatchResult result) TKC_EXCLUDES(mu_) {
+    {
+      MutexLock lock(mu_);
+      ++delivering_;
+    }
+    queue_.Push(std::move(result));
+    MutexLock lock(mu_);
+    // Notify under the mutex: a Shutdown() waiter may destroy this object
+    // the instant it observes delivering_ == 0.
+    if (--delivering_ == 0) idle_.NotifyAll();
+  }
+
+ private:
+  BoundedMpscQueue<BatchResult> queue_;
+  Mutex mu_;
+  CondVar idle_;
+  size_t delivering_ TKC_GUARDED_BY(mu_) = 0;
+};
+
+/// Future adapter: Submit whose result settles the returned future.
+template <typename Engine>
+std::future<BatchResult> SubmitFuture(Engine& engine, BatchRequest request) {
+  auto promise = std::make_shared<std::promise<BatchResult>>();
+  std::future<BatchResult> future = promise->get_future();
+  engine.Submit(std::move(request), [promise](BatchResult&& result) {
+    promise->set_value(std::move(result));
+  });
+  return future;
+}
+
+/// Completion-queue adapter: Submit whose result, stamped with `tag`, is
+/// delivered to `cq`. `cq` must outlive the delivery (drain the engine
+/// before destroying it).
+template <typename Engine>
+void SubmitToQueue(Engine& engine, BatchRequest request,
+                   BatchCompletionQueue* cq, uint64_t tag) {
+  engine.Submit(std::move(request), [cq, tag](BatchResult&& result) {
+    result.tag = tag;
+    cq->Deliver(std::move(result));
+  });
+}
+
+}  // namespace tkc
+
+#endif  // TKC_SERVE_SUBMIT_H_

@@ -177,7 +177,9 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
   options.engine.pool = &pool;
   options.engine.build_index = rng.NextBool(0.5);
   options.engine.index_max_k = rng.NextBool(0.3) ? 2 : 0;  // capped sometimes
-  options.engine.num_index_replicas = rng.NextBool(0.25) ? 2 : 1;
+  // An unused draw, kept so each seed still generates the scenario it
+  // always has.
+  (void)rng.NextBool(0.25);
   options.engine.cache_capacity = rng.NextBool(0.25) ? 0 : 64;
   options.engine.async_queue_capacity = 4;  // small: exercise backpressure
   options.update_queue_capacity = 4;
@@ -197,8 +199,12 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
     options.retry_backoff_initial_ms = 0.2;
     options.retry_backoff_max_ms = 2.0;
     options.retry_jitter_seed = config.seed;
-    rebuild_fault.emplace(kFaultRebuildFail,
-                          FaultSchedule{0.4, config.seed * 31 + 1, 0});
+    rebuild_fault.emplace(
+        kFaultRebuildFail,
+        config.exhaust_first_rebuild
+            ? FaultSchedule{1.0, config.seed * 31 + 1,
+                            static_cast<uint64_t>(options.max_rebuild_attempts)}
+            : FaultSchedule{0.4, config.seed * 31 + 1, 0});
     queue_fault.emplace(kFaultQueueFull,
                         FaultSchedule{0.15, config.seed * 31 + 2, 0});
     slow_fault.emplace(kFaultDispatchSlowWorker,
@@ -360,9 +366,7 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
     for (uint32_t b = 0; b < config.num_query_batches; ++b) {
       PendingBatch pending;
       pending.queries = make_batch();
-      // The legacy entry points delegate to the deadline flavors with an
-      // unlimited deadline, so routing everything through the deadline
-      // overloads keeps the non-fault sweeps on the same code path.
+      // Outside fault mode every deadline is unlimited.
       const Deadline deadline = pick_deadline();
       if (config.net) {
         // Mostly-unlimited wire deadlines, with an occasional 1 ms budget
@@ -384,11 +388,11 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
       } else {
         switch (b % 3) {
           case 0:
-            pending.future = live.SubmitAsync(pending.queries, deadline);
+            pending.future = SubmitFuture(live, {pending.queries, deadline});
             break;
           case 1:
-            live.SubmitAsync(pending.queries, &completions, batches.size(),
-                             deadline);
+            SubmitToQueue(live, {pending.queries, deadline}, &completions,
+                          batches.size());
             pending.via_completion_queue = true;
             ++cq_submissions;
             break;

@@ -57,6 +57,12 @@ struct DifferentialConfig {
   /// Arms process-global fault points: do not run fault-mode scenarios
   /// concurrently. Mutually exclusive with `incremental`.
   bool faults = false;
+  /// Fault mode only: `rebuild.fail` fires on every attempt of the first
+  /// rebuild cycle and never again (p = 1 for max_rebuild_attempts fires),
+  /// so that cycle exhausts its retries and fails its whole coalesced group
+  /// however the updater happens to coalesce. Makes "some update failed"
+  /// a certainty rather than a timing-dependent outcome of p = 0.4.
+  bool exhaust_first_rebuild = false;
   /// Network mode: front the LiveQueryEngine with a loopback TkcServer and
   /// route every query batch through TkcClient connections — wire encode,
   /// frame reassembly, completion streaming and all — while ApplyUpdates

@@ -136,7 +136,7 @@ TEST(LiveQueryEngineTest, InFlightBatchFinishesAgainstItsPinnedSnapshot) {
   for (Timestamp ts = 1; ts + 3 <= g.num_timestamps(); ts += 2) {
     queries.push_back(Query{2, Window{ts, static_cast<Timestamp>(ts + 3)}});
   }
-  std::future<BatchResult> inflight = (*live)->SubmitAsync(queries);
+  std::future<BatchResult> inflight = SubmitFuture(**live, {queries});
   std::vector<RawTemporalEdge> extra = {{1, 2, 99}, {2, 3, 99}, {1, 3, 99}};
   ASSERT_TRUE((*live)->ApplyUpdates(extra).get().ok());
   ASSERT_TRUE((*live)->ApplyUpdates({{4, 5, 100}}).get().ok());

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -131,12 +132,19 @@ TEST(NetAbuseTest, SlowReaderGetsEveryResponseUnderBackpressure) {
 // concurrently must also all land (the updater never sees the abuse).
 TEST(NetAbuseTest, AbruptDisconnectSettlesInFlightBatchesAsDropped) {
   ThreadPool pool(4);
-  auto live = MakeLive(&pool, /*async_queue_capacity=*/1);
+  constexpr int kBatches = 16;
+  auto live = MakeLive(&pool, /*async_queue_capacity=*/kBatches);
   ASSERT_TRUE(live.ok());
   auto server = net::TkcServer::Start(live->get());
   ASSERT_TRUE(server.ok());
 
-  constexpr int kBatches = 16;
+  // Wedge every pool worker so no batch can execute until the client is
+  // gone: every verdict is then still in flight at the disconnect.
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  for (int w = 0; w < pool.num_threads(); ++w) {
+    pool.Submit([gate] { gate.wait(); });
+  }
   {
     auto client = net::TkcClient::Connect("127.0.0.1", (*server)->port());
     ASSERT_TRUE(client.ok());
@@ -144,8 +152,22 @@ TEST(NetAbuseTest, AbruptDisconnectSettlesInFlightBatchesAsDropped) {
       auto id = (*client)->Send(SomeQueries());
       ASSERT_TRUE(id.ok());
     }
+    // A close with unread bytes makes the kernel answer with a reset,
+    // which discards whatever the server has not read yet. So wait, over a
+    // second connection, until the server has read every request; only
+    // then is the disconnect about in-flight batches and nothing else.
+    auto probe = net::TkcClient::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(probe.ok());
+    for (int waited = 0; waited < 5000; waited += 5) {
+      auto seen = (*probe)->FetchStats();
+      ASSERT_TRUE(seen.ok()) << seen.status().ToString();
+      if (seen->requests_received == static_cast<uint64_t>(kBatches)) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    (*probe)->Close();
     (*client)->Close();  // gone before reading one byte
   }
+  release.set_value();
   // Meanwhile, snapshot swaps keep landing.
   ASSERT_TRUE((*live)->ApplyUpdates({{2, 7, 17}, {3, 9, 18}}).get().ok());
 
@@ -157,8 +179,8 @@ TEST(NetAbuseTest, AbruptDisconnectSettlesInFlightBatchesAsDropped) {
       });
   EXPECT_EQ(stats.requests_received, static_cast<uint64_t>(kBatches));
   EXPECT_EQ(stats.batches_completed, static_cast<uint64_t>(kBatches));
-  // The engine queue was 1 deep and the client died instantly: verdicts
-  // kept arriving long after the socket was gone.
+  // Every batch was still wedged when the client died: verdicts kept
+  // arriving after the socket was gone.
   EXPECT_GT(stats.responses_dropped, 0u);
   ExpectBalanced(stats);
 
