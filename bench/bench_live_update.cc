@@ -445,13 +445,15 @@ int main(int argc, char** argv) {
         const UpdateStats ustats = (*live)->update_stats();
         // Partial maintenance must actually fire: end-of-timeline pendant
         // deltas leave no dirty slice to rebuild whole, and the trailing
-        // band is tiny so rows genuinely carry.
+        // band is tiny so rows genuinely carry. Every reused slice brings
+        // its emergence table along.
         identical = identical && ustats.suffix_rebuilds > 0 &&
                     ustats.slices_rebuilt == 0 && ustats.rows_reused > 0 &&
-                    ustats.incremental_swaps == (*live)->stats().swaps;
+                    ustats.incremental_swaps == (*live)->stats().swaps &&
+                    ustats.emergence_tables_carried == ustats.slices_reused;
         // The maintained index — suffix-stitched slices, pointer-reused
-        // slices, carried emergence tables — must be bit-identical to
-        // from-scratch state on the final graph.
+        // slices, and the emergence tables they carry — must be
+        // bit-identical to from-scratch state on the final graph.
         auto snap = (*live)->snapshot();
         const PhcIndex* incremental = snap->engine().index();
         PhcBuildOptions fresh_opts;
@@ -462,10 +464,10 @@ int main(int argc, char** argv) {
                     *incremental == *fresh;
         if (fresh.ok() && incremental != nullptr) {
           for (uint32_t k = 1; k <= fresh->max_k(); ++k) {
-            const std::vector<Timestamp> expected =
-                QueryEngine::ComputeEmergenceTable(fresh->Slice(k));
             const std::span<const Timestamp> table =
-                snap->engine().EmergenceTable(k);
+                incremental->EmergenceTable(k);
+            const std::span<const Timestamp> expected =
+                fresh->EmergenceTable(k);
             identical = identical &&
                         std::equal(table.begin(), table.end(),
                                    expected.begin(), expected.end());

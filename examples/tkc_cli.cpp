@@ -193,8 +193,7 @@ int RunLiveReplay(tkc::TemporalGraph graph,
   std::printf(
       "updater: %llu/%llu batches applied (%llu coalesced), %llu slices "
       "reused / %llu suffix-maintained / %llu rebuilt (%llu incremental "
-      "swaps), %llu/%llu rows carried, %llu emergence tables carried, %llu "
-      "cache entries carried\n",
+      "swaps), %llu/%llu rows carried, %llu cache entries carried\n",
       static_cast<unsigned long long>(update.batches_applied),
       static_cast<unsigned long long>(update.batches_submitted),
       static_cast<unsigned long long>(update.batches_coalesced),
@@ -204,7 +203,6 @@ int RunLiveReplay(tkc::TemporalGraph graph,
       static_cast<unsigned long long>(update.incremental_swaps),
       static_cast<unsigned long long>(update.rows_reused),
       static_cast<unsigned long long>(update.rows_total),
-      static_cast<unsigned long long>(update.emergence_tables_carried),
       static_cast<unsigned long long>(update.cache_entries_carried));
   return failures == 0 ? 0 : 1;
 }

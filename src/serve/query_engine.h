@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "serve/query_cache.h"
@@ -31,12 +30,12 @@
 ///    VctBuildArena out of an internal free list (growing only to the peak
 ///    concurrency ever observed) so the CoreTime phase recycles all scratch.
 ///  * **Admission index.** At construction the engine can build a full PHC
-///    index (all k-slices) over the graph's time span and derive a per-k
-///    *core-emergence table*: min over vertices of CT_ts(u) for every
-///    start ts. A query whose range provably contains no temporal k-core
-///    (k beyond the global kmax, or emergence after the range end) is then
-///    answered in O(1) with the exact empty outcome the full pipeline would
-///    produce — no build, no allocation.
+///    index (all k-slices) over the graph's time span; each slice carries
+///    its *core-emergence table* (PhcIndex::MayContainCore). A query whose
+///    range provably contains no temporal k-core (k beyond the global
+///    kmax, or emergence after the range end) is then answered in O(1)
+///    with the exact empty outcome the full pipeline would produce — no
+///    build, no allocation.
 ///  * **Memoization.** Completed outcomes are stored in a bounded LRU
 ///    (serve/query_cache.h) keyed by (k, range), so repeated-query
 ///    workloads are served at lookup cost; admission rejections are stored
@@ -89,7 +88,7 @@ struct QueryEngineOptions {
   /// earlier); <= 0 means unlimited.
   double per_query_limit_seconds = 0;
 
-  /// Build the PHC admission index (and emergence tables) at construction.
+  /// Build the PHC admission index at construction.
   /// Costs one full multi-k index build up front; pays for itself on
   /// workloads with empty-result queries.
   bool build_index = false;
@@ -114,25 +113,6 @@ struct QueryEngineOptions {
   /// Implies build_index; must cover the graph's FullRange() and vertex
   /// count. Copied into the engine; only read during Create.
   const PhcIndex* preloaded_index = nullptr;
-
-  /// Engine to copy per-k core-emergence tables from instead of
-  /// recomputing them: a slice of this engine's index that is the *same
-  /// object* (shared_ptr identity) as the source's slice k has, by
-  /// construction, an identical emergence table — the table is a pure
-  /// function of the slice. The live-update layer points this at the
-  /// predecessor snapshot's engine so slices PhcIndex::Rebuild carried by
-  /// pointer stop paying the emergence sweep again. Only read during
-  /// Create; must outlive it.
-  const QueryEngine* emergence_source = nullptr;
-
-  /// Recomputed start bands of the preloaded index's suffix-stitched
-  /// slices (PhcRebuildStats::suffix_bands from the *same* Rebuild that
-  /// produced preloaded_index against emergence_source's index). For each
-  /// banded slice the engine copies the source's emergence table and
-  /// re-sweeps only the band — everything outside it is provably
-  /// unchanged — instead of paying the full per-k sweep. Requires
-  /// emergence_source; only read during Create; must outlive it.
-  const std::vector<PhcRebuildStats::SuffixBand>* emergence_bands = nullptr;
 };
 
 /// Monotone counters describing everything an engine has served.
@@ -217,36 +197,6 @@ class QueryEngine {
   /// one.
   const PhcIndex* index() const { return index_ ? &*index_ : nullptr; }
 
-  /// True iff at least one temporal k-core exists inside `range`, answered
-  /// in O(1) from the emergence table. Requires build_index and a valid
-  /// range inside the graph's span; falls back to `true` (unknown) when the
-  /// table cannot prove emptiness (e.g. k above a capped index).
-  bool MayContainCore(uint32_t k, Window range) const;
-
-  /// The per-k core-emergence table (min over vertices of CT_ts(u), indexed
-  /// by ts - range.start), or an empty span when there is no admission
-  /// index or k is out of range. Exposed so the differential harness can
-  /// prove carried tables bit-identical to freshly computed ones.
-  std::span<const Timestamp> EmergenceTable(uint32_t k) const;
-
-  /// Computes the emergence table of one slice from scratch — the exact
-  /// function Create runs per slice when no table carries over.
-  static std::vector<Timestamp> ComputeEmergenceTable(
-      const VertexCoreTimeIndex& slice);
-
-  /// Emergence tables copied from options.emergence_source at construction
-  /// instead of recomputed (0 without a source or an index).
-  uint64_t emergence_tables_carried() const {
-    return emergence_tables_carried_;
-  }
-
-  /// Emergence tables maintained incrementally at construction — copied
-  /// from the source and re-swept only over the suffix-stitched band
-  /// (options.emergence_bands) instead of the full per-k sweep.
-  uint64_t emergence_tables_stitched() const {
-    return emergence_tables_stitched_;
-  }
-
   int num_threads() const { return pool_->num_threads(); }
 
  private:
@@ -260,8 +210,6 @@ class QueryEngine {
   QueryEngine(const TemporalGraph& g, const QueryEngineOptions& options);
 
   [[nodiscard]] Status BuildAdmissionIndex();
-  /// Derives the emergence tables from a built index and installs it.
-  void InstallAdmissionIndex(PhcIndex index);
 
   /// The post-cache-miss path: admission check, algorithm execution, cache
   /// insert, counter updates. `batch_deadline` caps the execution together
@@ -304,15 +252,8 @@ class QueryEngine {
   QueryEngineOptions options_;
   ThreadPool* pool_ = nullptr;
 
-  /// Admission state (immutable after Create).
+  /// Admission index (immutable after Create).
   std::optional<PhcIndex> index_;
-  bool index_complete_ = false;  ///< index covers every k up to true kmax
-  /// emergence_[k-1][ts - 1]: min over u of CT_ts(u) for slice k, i.e. the
-  /// earliest end time at which a k-core exists for start ts (kInfTime when
-  /// none). Non-decreasing in ts.
-  std::vector<std::vector<Timestamp>> emergence_;
-  uint64_t emergence_tables_carried_ = 0;
-  uint64_t emergence_tables_stitched_ = 0;
 
   /// Relaxed-atomic mirrors of ServeStats, bumped lock-free on the hot
   /// path and aggregated by stats(). Monotone counters need no ordering —

@@ -109,13 +109,6 @@ StatusOr<std::shared_ptr<const GraphSnapshot>> GraphSnapshot::CreateSuccessor(
     rebuilt = std::move(index).value();
     successor_options.preloaded_index = &rebuilt;  // copied by Create
     successor_options.build_index = true;
-    // Slices Rebuild carried by pointer have provably identical emergence
-    // tables; let the successor's engine copy them from the base engine
-    // instead of re-running the emergence sweep per reused slice — and
-    // suffix-stitched slices copy the base table and re-sweep only their
-    // recomputed start band (rebuild_stats outlives CreateImpl below).
-    successor_options.emergence_source = &base.engine();
-    successor_options.emergence_bands = &rebuild_stats.suffix_bands;
   }
 
   auto snapshot =
@@ -129,10 +122,6 @@ StatusOr<std::shared_ptr<const GraphSnapshot>> GraphSnapshot::CreateSuccessor(
   swap.suffix_rebuilds = rebuild_stats.suffix_rebuilds;
   swap.rows_reused = rebuild_stats.rows_reused;
   swap.rows_total = rebuild_stats.rows_total;
-  swap.emergence_tables_carried =
-      (*snapshot)->engine().emergence_tables_carried();
-  swap.emergence_tables_stitched =
-      (*snapshot)->engine().emergence_tables_stitched();
   // Cross-snapshot cache carry-over: entries whose k lies strictly above
   // the delta's proof boundary answer identically on the new graph, so the
   // successor starts warm for exactly that region. Gated on the delta
@@ -156,7 +145,6 @@ StatusOr<std::unique_ptr<LiveQueryEngine>> LiveQueryEngine::Create(
 LiveQueryEngine::LiveQueryEngine(std::shared_ptr<const GraphSnapshot> initial,
                                  const LiveEngineOptions& options)
     : options_(options),
-      current_(initial),
       update_queue_(options.update_queue_capacity),
       updater_([this] { UpdaterLoop(); }) {
   // A preloaded admission index describes exactly one graph — the initial
@@ -194,8 +182,10 @@ LiveQueryEngine::LiveQueryEngine(std::shared_ptr<const GraphSnapshot> initial,
   jitter_stream_ = SplitMix64(options.retry_jitter_seed);
   // The updater thread is already running (started in the init list); no
   // batch can reach it before Create returns, but take the guard anyway so
-  // the "all_snapshots_ under snapshots_mu_" invariant has no carve-out.
+  // the "current_ and all_snapshots_ under snapshots_mu_" invariant has no
+  // carve-out.
   MutexLock lock(snapshots_mu_);
+  current_ = initial;
   all_snapshots_.push_back(std::move(initial));
 }
 
@@ -255,9 +245,8 @@ LiveQueryEngine::~LiveQueryEngine() {
 }
 
 std::shared_ptr<const GraphSnapshot> LiveQueryEngine::snapshot() const {
-  // Lock-free pin: an atomic shared_ptr load. Readers never serialize
-  // against each other or against the updater's publishing store.
-  return current_.load(std::memory_order_acquire);
+  MutexLock lock(snapshots_mu_);
+  return current_;
 }
 
 BatchResult LiveQueryEngine::ServeBatch(const std::vector<Query>& queries,
@@ -372,8 +361,7 @@ void LiveQueryEngine::UpdaterLoop() {
     // this thread (and, inside PhcIndex::Rebuild, the serving pool) builds
     // the successor. Transient failures retry with capped backoff inside
     // RebuildWithRetry; the last good snapshot keeps serving throughout.
-    std::shared_ptr<const GraphSnapshot> base =
-        current_.load(std::memory_order_acquire);
+    std::shared_ptr<const GraphSnapshot> base = snapshot();
     std::shared_ptr<const GraphSnapshot> next;
     // Version advances by the whole group: version N stays "initial
     // graph + update batches 1..N" even when swaps coalesce.
@@ -384,14 +372,15 @@ void LiveQueryEngine::UpdaterLoop() {
     double swap_seconds = 0;
     if (status.ok()) {
       WallTimer swap_timer;
-      // The swap is one atomic shared_ptr store: queries pin before or
-      // after, never mid-swap (no torn reads), and never wait on it.
-      current_.store(next, std::memory_order_release);
       {
-        // Track the new version for destructor-time draining; expired
+        // The swap is one assignment under the pin mutex: queries pin
+        // before or after, never mid-swap (no torn reads). `base` still
+        // holds the old snapshot, so no destructor runs under the lock.
+        // The new version is tracked for destructor-time draining; expired
         // entries (snapshots whose last pin is gone) are pruned here so
         // the list stays proportional to snapshots actually alive.
         MutexLock lock(snapshots_mu_);
+        current_ = next;
         all_snapshots_.erase(
             std::remove_if(all_snapshots_.begin(), all_snapshots_.end(),
                            [](const std::weak_ptr<const GraphSnapshot>& w) {
@@ -423,10 +412,7 @@ void LiveQueryEngine::UpdaterLoop() {
         stats_.update.suffix_rebuilds += swap.suffix_rebuilds;
         stats_.update.rows_reused += swap.rows_reused;
         stats_.update.rows_total += swap.rows_total;
-        stats_.update.emergence_tables_carried +=
-            swap.emergence_tables_carried;
-        stats_.update.emergence_tables_stitched +=
-            swap.emergence_tables_stitched;
+        stats_.update.emergence_tables_carried += swap.slices_reused;
         stats_.update.cache_entries_carried += swap.cache_entries_carried;
         if (swap.slices_reused > 0 || swap.suffix_rebuilds > 0) {
           ++stats_.update.incremental_swaps;

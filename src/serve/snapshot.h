@@ -1,7 +1,6 @@
 #ifndef TKC_SERVE_SNAPSHOT_H_
 #define TKC_SERVE_SNAPSHOT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -24,8 +23,8 @@
 ///
 /// Consistency model — *pinned snapshots, no torn reads*:
 ///
-///  * A GraphSnapshot is immutable: the temporal graph, the PHC admission
-///    index, and the per-k emergence tables are all built once and
+///  * A GraphSnapshot is immutable: the temporal graph and the PHC
+///    admission index (emergence tables included) are built once and
 ///    never mutated (the engine's cache/arena internals are mutable but
 ///    internally synchronized and invisible to results).
 ///  * Every submission — sync or async — *pins* the snapshot that is
@@ -36,9 +35,9 @@
 ///  * ApplyUpdates never blocks serving: a dedicated updater thread builds
 ///    the successor snapshot off to the side — its index rebuild fanned
 ///    over a dedicated update pool, never the serving pool — and then
-///    publishes it with one atomic shared_ptr store; pinning the current
-///    snapshot is a lock-free atomic load. Old snapshots die when their
-///    last pinned batch completes.
+///    publishes it with one shared_ptr assignment under a mutex; pinning
+///    the current snapshot is a refcount bump under the same mutex. Old
+///    snapshots die when their last pinned batch completes.
 ///  * Update batches are applied strictly FIFO (a bounded MPSC queue feeds
 ///    the updater thread). Under swap pressure the updater *coalesces*:
 ///    each rebuild cycle drains every batch queued at that moment, applies
@@ -59,7 +58,7 @@
 ///    shared_ptr) every k-slice with k > delta.max_core_bound: no appended
 ///    edge can sit inside such a k-core, so those slices are provably
 ///    bit-identical to a from-scratch build. Only the dirty slices rebuild
-///    over the pool.
+///    over the pool. A reused slice brings its emergence table along.
 ///  * The successor engine's query cache is seeded with the predecessor's
 ///    entries whose (k, range) lies in a provably-clean slice region
 ///    (QueryEngine::CarryOverCacheFrom) instead of starting cold.
@@ -99,13 +98,10 @@ struct UpdateStats {
   uint64_t rows_reused = 0;
   /// Total VCT rows across all incrementally produced indexes.
   uint64_t rows_total = 0;
-  /// Per-k core-emergence tables copied from the predecessor engine
-  /// instead of recomputed (pointer-shared slices only).
+  /// Per-k core-emergence tables carried across swaps. A table lives in
+  /// its slice, so this always equals slices_reused; kept for the
+  /// end-to-end benchmark's serve.emergence_tables_carried metric.
   uint64_t emergence_tables_carried = 0;
-  /// Per-k core-emergence tables maintained incrementally for
-  /// suffix-stitched slices: the predecessor's table copied, only the
-  /// recomputed start band re-swept.
-  uint64_t emergence_tables_stitched = 0;
   /// Query-cache entries carried across swaps instead of recomputing.
   uint64_t cache_entries_carried = 0;
   /// Swap cycles that carried at least one slice (whole or suffix).
@@ -144,8 +140,6 @@ class GraphSnapshot {
     uint32_t suffix_rebuilds = 0;   ///< slices maintained by suffix stitching
     uint64_t rows_reused = 0;       ///< VCT rows carried from the base index
     uint64_t rows_total = 0;        ///< VCT rows across this version's index
-    uint64_t emergence_tables_carried = 0;  ///< emergence sweeps skipped
-    uint64_t emergence_tables_stitched = 0;  ///< emergence sweeps band-only
     uint64_t cache_entries_carried = 0;  ///< memo entries seeded from the base
   };
 
@@ -274,7 +268,8 @@ class LiveQueryEngine {
 
   /// Pins and returns the current snapshot (callers may hold it as long as
   /// they like; it stays valid and immutable past any number of swaps).
-  std::shared_ptr<const GraphSnapshot> snapshot() const;
+  std::shared_ptr<const GraphSnapshot> snapshot() const
+      TKC_EXCLUDES(snapshots_mu_);
 
   /// Version of the current snapshot (0 = initial graph): the number of
   /// update batches applied so far.
@@ -379,15 +374,14 @@ class LiveQueryEngine {
   /// an index to rebuild from).
   QueryEngineOptions rebuild_engine_options_;
 
-  /// The serving hot path's only shared word: snapshot() is a lock-free
-  /// atomic load (readers never serialize against each other or the
-  /// updater's swap), the updater's swap an atomic store. libstdc++ backs
-  /// atomic<shared_ptr> with a small internal spinlock, but the critical
-  /// section is a refcount bump — nanoseconds — against the old
-  /// arrangement's mutex held across every pin.
-  std::atomic<std::shared_ptr<const GraphSnapshot>> current_;
-  /// Guards all_snapshots_ (bookkeeping only — never on the serve path).
+  /// Guards the current snapshot and the list of live ones. A pin holds it
+  /// for one refcount bump, the updater's swap for one assignment plus the
+  /// list's pruning; DrainAsync copies the list under it. Deliberately not
+  /// std::atomic<std::shared_ptr>: libstdc++ 12's load releases its
+  /// internal lock bit with relaxed ordering, a data race against the
+  /// publishing store that TSan reports.
   mutable Mutex snapshots_mu_;
+  std::shared_ptr<const GraphSnapshot> current_ TKC_GUARDED_BY(snapshots_mu_);
   /// Every version ever swapped in that may still be alive, so the
   /// destructor can drain batches pinned to superseded snapshots (their
   /// completion-queue deliveries must finish before the caller tears the

@@ -17,15 +17,32 @@ namespace tkc {
 
 namespace {
 
-/// Builds the k-slice for (g, range) and wraps it in the shared handle the
-/// index stores. Pure function of its arguments; arena only recycles
-/// scratch.
-std::shared_ptr<const VertexCoreTimeIndex> BuildSlice(const TemporalGraph& g,
-                                                      uint32_t k, Window range,
-                                                      VctBuildArena* arena,
-                                                      ThreadPool* pool) {
-  return std::make_shared<const VertexCoreTimeIndex>(
-      BuildVctAndEcs(g, k, range, arena, pool).vct);
+/// The slice's core-emergence table — min over u of CT_ts(u) for every
+/// start ts of its range — in one linear pass. A row (u, s, c) holds for
+/// starts [s, s'), s' being u's next row start (range.end + 1 after its
+/// last row). Start ts takes the minimum over rows with s' > ts: the rows
+/// live at ts give the true minimum, and a row starting after ts cannot
+/// undercut it, because core times are non-decreasing in the start. So
+/// each row's value lands in the bucket of its last start s' - 1, and a
+/// suffix-min over the buckets is the table. Needs only row starts inside
+/// the range and strictly increasing per vertex.
+std::vector<Timestamp> EmergenceOf(const VertexCoreTimeIndex& slice) {
+  const Window range = slice.range();
+  std::vector<Timestamp> table(range.Length(), kInfTime);
+  for (VertexId u = 0; u < slice.num_vertices(); ++u) {
+    const std::span<const VctEntry> rows = slice.EntriesOf(u);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const Timestamp last =
+          i + 1 < rows.size() ? rows[i + 1].start - 1 : range.end;
+      TKC_DCHECK(rows[i].start >= range.start && last <= range.end);
+      Timestamp& bucket = table[last - range.start];
+      bucket = std::min(bucket, rows[i].core_time);
+    }
+  }
+  for (size_t rel = table.size(); rel > 1; --rel) {
+    table[rel - 2] = std::min(table[rel - 2], table[rel - 1]);
+  }
+  return table;
 }
 
 /// The per-slice endpoint-connectivity proof behind band tightening: for a
@@ -189,6 +206,9 @@ Timestamp FirstDirtyStart(const VertexCoreTimeIndex& old_slice,
 
 }  // namespace
 
+PhcIndex::SliceData::SliceData(VertexCoreTimeIndex rows)
+    : vct(std::move(rows)), emergence(EmergenceOf(vct)) {}
+
 StatusOr<PhcIndex> PhcIndex::Build(const TemporalGraph& g, Window range,
                                    uint32_t max_k) {
   PhcBuildOptions options;
@@ -220,17 +240,18 @@ StatusOr<PhcIndex> PhcIndex::Build(const TemporalGraph& g, Window range,
   // the serial path below — notably the kmax == 1 case a snapshot rebuild
   // on a dedicated thread can hit — parallelizes the slice's bootstrap.
   index.slices_.resize(kmax);
+  auto build_slice = [&](uint32_t k, VctBuildArena* arena, ThreadPool* pool) {
+    index.slices_[k - 1] = std::make_shared<const SliceData>(
+        BuildVctAndEcs(g, k, range, arena, pool).vct);
+  };
   ThreadPool* pool = options.pool;
   if (pool == nullptr || pool->num_threads() <= 1 || kmax <= 1) {
     VctBuildArena arena;
-    for (uint32_t k = 1; k <= kmax; ++k) {
-      index.slices_[k - 1] = BuildSlice(g, k, range, &arena, pool);
-    }
+    for (uint32_t k = 1; k <= kmax; ++k) build_slice(k, &arena, pool);
   } else {
     std::vector<VctBuildArena> arenas(pool->num_threads());
     pool->ParallelFor(kmax, [&](size_t i, int worker) {
-      index.slices_[i] = BuildSlice(g, static_cast<uint32_t>(i) + 1, range,
-                                    &arenas[worker], pool);
+      build_slice(static_cast<uint32_t>(i) + 1, &arenas[worker], pool);
     });
   }
   return index;
@@ -314,7 +335,7 @@ StatusOr<PhcIndex> PhcIndex::Rebuild(const PhcIndex& old_index,
     if (k > local.clean_above_k) {
       index.slices_[k - 1] = old_index.slices_[k - 1];  // shared, by pointer
       ++local.slices_reused;
-      local.rows_reused += old_index.slices_[k - 1]->size();
+      local.rows_reused += old_index.slices_[k - 1]->vct.size();
       continue;
     }
     // Dirty by the core bound — but the delta's time extent may still pin
@@ -328,13 +349,11 @@ StatusOr<PhcIndex> PhcIndex::Rebuild(const PhcIndex& old_index,
     if (first_dirty == kInfTime) {
       index.slices_[k - 1] = old_index.slices_[k - 1];  // provably clean
       ++local.slices_reused;
-      local.rows_reused += old_index.slices_[k - 1]->size();
+      local.rows_reused += old_index.slices_[k - 1]->vct.size();
     } else if (first_dirty == range.start && delta.max_time == range.end) {
       full.push_back(k);  // the dirty band is the whole slice
     } else {
       partial.push_back(SuffixTask{k, first_dirty});
-      local.suffix_bands.push_back(
-          PhcRebuildStats::SuffixBand{k, first_dirty, delta.max_time});
     }
   }
   local.slices_rebuilt = static_cast<uint32_t>(full.size());
@@ -344,20 +363,22 @@ StatusOr<PhcIndex> PhcIndex::Rebuild(const PhcIndex& old_index,
   // arena discipline, slot k-1 regardless of worker/completion order —
   // and splice the partial ones: recompute starts
   // [first_dirty, delta.max_time] over the suffix window, carry the
-  // prefix/tail rows from the old slice. Per-task row counts land in
-  // fixed slots so the reuse accounting is deterministic too.
+  // prefix/tail rows from the old slice. Either way the new slice derives
+  // its emergence table afresh. Per-task row counts land in fixed slots so
+  // the reuse accounting is deterministic too.
   std::vector<uint64_t> partial_rows(partial.size(), 0);
   auto run_task = [&](size_t i, VctBuildArena* arena, ThreadPool* pool) {
     if (i < full.size()) {
       const uint32_t k = full[i];
-      index.slices_[k - 1] = BuildSlice(g, k, range, arena, pool);
+      index.slices_[k - 1] = std::make_shared<const SliceData>(
+          BuildVctAndEcs(g, k, range, arena, pool).vct);
       return;
     }
     const SuffixTask& task = partial[i - full.size()];
     const Window suffix{task.first_dirty, range.end};
     const VertexCoreTimeIndex band =
         BuildVctSuffix(g, task.k, suffix, delta.max_time, arena, pool);
-    index.slices_[task.k - 1] = std::make_shared<const VertexCoreTimeIndex>(
+    index.slices_[task.k - 1] = std::make_shared<const SliceData>(
         StitchCoreTimeSuffix(old_index.Slice(task.k), band, task.first_dirty,
                              delta.max_time, &partial_rows[i - full.size()]));
   };
@@ -373,7 +394,7 @@ StatusOr<PhcIndex> PhcIndex::Rebuild(const PhcIndex& old_index,
     });
   }
   for (uint64_t rows : partial_rows) local.rows_reused += rows;
-  for (const auto& slice : index.slices_) local.rows_total += slice->size();
+  for (const auto& slice : index.slices_) local.rows_total += slice->vct.size();
   if (stats != nullptr) *stats = local;
   return index;
 }
@@ -399,25 +420,26 @@ StatusOr<PhcIndex> PhcIndex::FromSlices(
   index.slices_.reserve(slices.size());
   for (VertexCoreTimeIndex& slice : slices) {
     index.slices_.push_back(
-        std::make_shared<const VertexCoreTimeIndex>(std::move(slice)));
+        std::make_shared<const SliceData>(std::move(slice)));
   }
   return index;
 }
 
 const VertexCoreTimeIndex& PhcIndex::Slice(uint32_t k) const {
   TKC_CHECK(k >= 1 && k <= slices_.size());
-  return *slices_[k - 1];
+  return slices_[k - 1]->vct;
 }
 
 std::shared_ptr<const VertexCoreTimeIndex> PhcIndex::SliceShared(
     uint32_t k) const {
   TKC_CHECK(k >= 1 && k <= slices_.size());
-  return slices_[k - 1];
+  // Aliases the slice's owner: identity still means "the same slice".
+  return {slices_[k - 1], &slices_[k - 1]->vct};
 }
 
 Timestamp PhcIndex::CoreTimeAt(VertexId u, Timestamp ts, uint32_t k) const {
   if (k == 0 || k > slices_.size()) return kInfTime;
-  return slices_[k - 1]->CoreTimeAt(u, ts);
+  return slices_[k - 1]->vct.CoreTimeAt(u, ts);
 }
 
 bool PhcIndex::VertexInCore(VertexId u, Window window, uint32_t k) const {
@@ -439,9 +461,21 @@ uint32_t PhcIndex::HistoricalCoreNumber(VertexId u, Window window) const {
   return lo;
 }
 
+bool PhcIndex::MayContainCore(uint32_t k, Window window) const {
+  if (k == 0 || !window.Valid() || !window.ContainedIn(range_)) return true;
+  // Beyond every built slice: provably empty only for a complete index.
+  if (k > max_k()) return !complete_;
+  return slices_[k - 1]->emergence[window.start - range_.start] <= window.end;
+}
+
+std::span<const Timestamp> PhcIndex::EmergenceTable(uint32_t k) const {
+  if (k == 0 || k > slices_.size()) return {};
+  return slices_[k - 1]->emergence;
+}
+
 uint64_t PhcIndex::size() const {
   uint64_t total = 0;
-  for (const auto& slice : slices_) total += slice->size();
+  for (const auto& slice : slices_) total += slice->vct.size();
   return total;
 }
 
@@ -461,7 +495,10 @@ uint64_t PhcIndex::MemoryUsageBytes() const {
   // Shared slices are counted in full: this reports the index's logical
   // footprint, not the marginal cost over other snapshots' indexes.
   uint64_t total = 0;
-  for (const auto& slice : slices_) total += slice->MemoryUsageBytes();
+  for (const auto& slice : slices_) {
+    total += slice->vct.MemoryUsageBytes() +
+             slice->emergence.capacity() * sizeof(Timestamp);
+  }
   return total;
 }
 

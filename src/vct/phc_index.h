@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/temporal_graph.h"
@@ -24,13 +25,21 @@
 /// regardless of completion order. Each worker reuses one VctBuildArena
 /// across all slices it claims.
 ///
-/// Slices are held behind shared_ptr<const VertexCoreTimeIndex>: an index
-/// is a cheap-to-copy stack of immutable slices, and successive graph
-/// versions can *share* the slices an edge delta provably did not touch.
-/// That sharing is what Rebuild exploits — the live serving layer's
-/// incremental maintenance path: instead of rebuilding every k-slice on
-/// each snapshot swap, it reuses the clean ones by pointer and rebuilds
-/// only the dirty ones, bit-identical to a from-scratch Build.
+/// Each slice holds its VCT rows together with its *core-emergence table*:
+/// for every start ts, min over u of CT_ts(u) — the earliest end time at
+/// which any k-core exists for that start. Core times are non-decreasing
+/// in ts, so "does [Ts, Te] hold a k-core?" is one lookup (MayContainCore),
+/// the admission shortcut of the serving layer. The table is a pure
+/// function of the rows and is derived in one linear pass wherever a
+/// slice is made (built, suffix-stitched, or loaded).
+///
+/// Slices are held behind shared_ptr: an index is a cheap-to-copy stack of
+/// immutable slices, and successive graph versions can *share* the slices
+/// an edge delta provably did not touch — tables included. That sharing is
+/// what Rebuild exploits — the live serving layer's incremental
+/// maintenance path: instead of rebuilding every k-slice on each snapshot
+/// swap, it reuses the clean ones by pointer and rebuilds only the dirty
+/// ones, bit-identical to a from-scratch Build.
 
 namespace tkc {
 
@@ -49,17 +58,6 @@ struct PhcRebuildStats {
   /// "No slice (or cached outcome) is provably clean."
   static constexpr uint32_t kNothingClean = 0xffffffffu;
 
-  /// The recomputed start band of one suffix-maintained slice: rows with
-  /// start in [first_dirty, last_dirty] were recomputed, every other
-  /// (vertex, start) value provably carried over unchanged. The serving
-  /// layer consumes these to maintain the per-k emergence tables
-  /// incrementally — only band entries need the sweep re-run.
-  struct SuffixBand {
-    uint32_t k = 0;
-    Timestamp first_dirty = 0;
-    Timestamp last_dirty = 0;
-  };
-
   /// Slices of the old index reused by pointer.
   uint32_t slices_reused = 0;
   /// Slices (re)built from scratch over the new graph.
@@ -68,9 +66,6 @@ struct PhcRebuildStats {
   /// could have touched was recomputed (BuildVctSuffix), the untouched
   /// prefix/tail rows carried over (StitchCoreTimeSuffix).
   uint32_t suffix_rebuilds = 0;
-  /// One entry per suffix-maintained slice, ascending k (suffix_rebuilds
-  /// entries in total).
-  std::vector<SuffixBand> suffix_bands;
   /// Slices whose recompute band shrank below (or closed entirely against)
   /// the global [first value >= delta.min_time, delta.max_time] bound
   /// because the per-vertex impact proof showed the delta edges cannot
@@ -193,16 +188,36 @@ class PhcIndex {
   /// membership is monotone decreasing in k).
   uint32_t HistoricalCoreNumber(VertexId u, Window window) const;
 
+  /// False only when no temporal k-core provably exists inside `window`:
+  /// slice k's emergence table puts the first k-core for window.start past
+  /// window.end, or k exceeds max_k() of a complete index. True when the
+  /// index cannot prove emptiness — k above a capped index, k == 0, or an
+  /// invalid window or one outside range().
+  bool MayContainCore(uint32_t k, Window window) const;
+
+  /// Slice k's core-emergence table, indexed by ts - range().start
+  /// (kInfTime where no k-core exists for that start); empty when k is out
+  /// of [1, max_k()].
+  std::span<const Timestamp> EmergenceTable(uint32_t k) const;
+
   /// Total entries across all slices.
   uint64_t size() const;
 
+  /// Rows and emergence tables of every slice.
   uint64_t MemoryUsageBytes() const;
 
  private:
+  /// One k-slice: its rows and the emergence table derived from them.
+  struct SliceData {
+    explicit SliceData(VertexCoreTimeIndex rows);
+    VertexCoreTimeIndex vct;
+    std::vector<Timestamp> emergence;
+  };
+
   Window range_{0, 0};
   bool complete_ = true;
   /// Slice k at index k-1; immutable and shareable across index versions.
-  std::vector<std::shared_ptr<const VertexCoreTimeIndex>> slices_;
+  std::vector<std::shared_ptr<const SliceData>> slices_;
 };
 
 /// Bit-identity of two indexes: same range, completeness, max_k, and

@@ -36,8 +36,8 @@ struct DifferentialConfig {
   /// incrementally maintained PhcIndex (delta-aware Rebuild — pointer-
   /// reused and suffix-stitched slices alike) is bit-identical, slice by
   /// slice, to a from-scratch PhcIndex::Build on the swapped-in graph, and
-  /// that every per-k core-emergence table (carried or recomputed) equals
-  /// one freshly derived from the from-scratch slice. Any disagreement
+  /// that every per-k core-emergence table (carried with its slice or
+  /// derived anew) equals the from-scratch slice's. Any disagreement
   /// counts as a mismatch.
   bool incremental = false;
   /// Fault mode: arm every fault point (`rebuild.fail`, `queue.full`,
@@ -96,7 +96,6 @@ struct DifferentialReport {
   uint64_t rows_reused = 0;      ///< VCT rows carried across swaps
   uint64_t batches_coalesced = 0;
   uint64_t cache_entries_carried = 0;
-  uint64_t emergence_tables_carried = 0;
   uint64_t explicit_outcomes = 0;  ///< fault/net mode: skip-oracled statuses
   uint64_t rebuild_retries = 0;    ///< fault mode: updater retry attempts
   uint64_t updates_applied = 0;    ///< update batches that landed a swap

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "datasets/generators.h"
 #include "graph/core_decomposition.h"
 #include "graph/window_peeler.h"
 #include "util/rng.h"
+#include "vct/index_io.h"
 #include "vct/vct_builder.h"
 
 namespace tkc {
@@ -102,6 +106,81 @@ TEST(PhcIndexTest, SizeAndMemoryAggregate) {
   }
   EXPECT_EQ(index->size(), total);
   EXPECT_GT(index->MemoryUsageBytes(), 0u);
+}
+
+// --- Emergence tables vs. brute-force peeling ---------------------------
+
+// Peels every window [ts, te] of `g` for every k up to one past the index's
+// max_k: the emergence entry for (k, ts) must be the first te whose k-core
+// is non-empty (kInfTime when none is), and MayContainCore must report
+// exactly the non-empty windows.
+void ExpectEmergenceMatchesPeeling(const TemporalGraph& g,
+                                   const PhcIndex& index,
+                                   const std::string& label) {
+  ASSERT_TRUE(index.complete()) << label;
+  const Timestamp tmax = g.num_timestamps();
+  for (uint32_t k = 1; k <= index.max_k() + 1; ++k) {
+    const std::span<const Timestamp> table = index.EmergenceTable(k);
+    ASSERT_EQ(table.size(), k <= index.max_k() ? tmax : 0u)
+        << label << " k=" << k;
+    for (Timestamp ts = 1; ts <= tmax; ++ts) {
+      Timestamp first = kInfTime;
+      for (Timestamp te = ts; te <= tmax; ++te) {
+        const std::vector<bool> core =
+            ComputeWindowCoreVertices(g, k, Window{ts, te});
+        const bool nonempty =
+            std::find(core.begin(), core.end(), true) != core.end();
+        if (nonempty && first == kInfTime) first = te;
+        EXPECT_EQ(index.MayContainCore(k, Window{ts, te}), nonempty)
+            << label << " k=" << k << " window [" << ts << "," << te << "]";
+      }
+      if (k <= index.max_k()) {
+        EXPECT_EQ(table[ts - 1], first) << label << " k=" << k << " ts=" << ts;
+      }
+    }
+  }
+}
+
+TEST(PhcEmergenceTest, EveryEntryMatchesPeelingOracle) {
+  // Built, Rebuild-maintained (suffix-stitched and pointer-reused slices)
+  // and deserialized indexes each derive their tables where the slice is
+  // made; all must agree with peeling, entry for entry.
+  uint32_t suffix_rebuilds = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    TemporalGraph dense = GenerateUniformRandom(14, 160, 10, seed);
+    const VertexId p = dense.num_vertices(), q = p + 1;
+    auto based = dense.AppendEdges(std::vector<RawTemporalEdge>{
+        {p, 0, dense.RawTimestamp(1)}, {q, 1, dense.RawTimestamp(2)}});
+    ASSERT_TRUE(based.ok());
+    const TemporalGraph base = std::move(based->graph);
+    const std::string tag = "seed=" + std::to_string(seed);
+
+    auto built = PhcIndex::Build(base, base.FullRange());
+    ASSERT_TRUE(built.ok());
+    ExpectEmergenceMatchesPeeling(base, *built, tag + " built");
+
+    auto loaded = DeserializePhcIndex(SerializePhcIndex(*built));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectEmergenceMatchesPeeling(base, *loaded, tag + " loaded");
+
+    // A pendant pair joined late in the timeline plus one edge inside the
+    // dense part: dirty slices are maintained by suffix stitching.
+    Rng rng(seed);
+    const Timestamp late = base.num_timestamps() - 1;
+    auto update = base.AppendEdges(std::vector<RawTemporalEdge>{
+        {p, q, base.RawTimestamp(late)},
+        {static_cast<VertexId>(rng.NextBounded(6)),
+         static_cast<VertexId>(6 + rng.NextBounded(6)),
+         base.RawTimestamp(late - 1)}});
+    ASSERT_TRUE(update.ok());
+    PhcRebuildStats stats;
+    auto rebuilt = PhcIndex::Rebuild(*built, update->graph, update->delta,
+                                     PhcBuildOptions{}, &stats);
+    ASSERT_TRUE(rebuilt.ok());
+    suffix_rebuilds += stats.suffix_rebuilds;
+    ExpectEmergenceMatchesPeeling(update->graph, *rebuilt, tag + " rebuilt");
+  }
+  EXPECT_GT(suffix_rebuilds, 0u) << "no stitched slice was exercised";
 }
 
 // --- Delta-aware Rebuild -----------------------------------------------

@@ -118,9 +118,10 @@ TEST(QueryEngineAdmissionTest, EmergenceTableMatchesPeelingOracle) {
   options.build_index = true;
   auto engine = QueryEngine::Create(g, options);
   ASSERT_TRUE(engine.ok());
+  ASSERT_NE(engine->index(), nullptr);
   // GenerateQueries' invariant: a range contains a temporal k-core iff the
-  // widest window's k-core is non-empty. Check MayContainCore against the
-  // peeling oracle over a grid of (k, range).
+  // widest window's k-core is non-empty. Check the admission index's
+  // MayContainCore against the peeling oracle over a grid of (k, range).
   const Timestamp tmax = g.num_timestamps();
   for (uint32_t k = 1; k <= stats.kmax + 2; ++k) {
     for (Timestamp start : {Timestamp{1}, Timestamp{tmax / 3},
@@ -133,7 +134,7 @@ TEST(QueryEngineAdmissionTest, EmergenceTableMatchesPeelingOracle) {
         std::vector<bool> in_core = ComputeWindowCoreVertices(g, k, range);
         bool oracle =
             std::find(in_core.begin(), in_core.end(), true) != in_core.end();
-        EXPECT_EQ(engine->MayContainCore(k, range), oracle)
+        EXPECT_EQ(engine->index()->MayContainCore(k, range), oracle)
             << "k=" << k << " range=[" << start << "," << end << "]";
       }
     }
