@@ -63,11 +63,7 @@ struct TkcServer::Connection {
 };
 
 TkcServer::TkcServer(LiveQueryEngine* engine, const ServerOptions& options)
-    : live_(engine),
-      options_(options),
-      cq_(options.completion_queue_capacity > 0
-              ? options.completion_queue_capacity
-              : 1) {
+    : live_(engine), options_(options) {
   if (options_.max_connections == 0) options_.max_connections = 1;
   if (options_.max_outbound_bytes < kFrameHeaderBytes) {
     options_.max_outbound_bytes = kFrameHeaderBytes;
@@ -83,7 +79,6 @@ StatusOr<std::unique_ptr<TkcServer>> TkcServer::Start(
   Status listen = server->Listen();
   if (!listen.ok()) return listen;
   server->loop_ = std::thread(&TkcServer::EventLoop, server.get());
-  server->drainer_ = std::thread(&TkcServer::DrainerLoop, server.get());
   return server;
 }
 
@@ -132,14 +127,16 @@ void TkcServer::Wake() {
   [[maybe_unused]] ssize_t n = ::write(wake_tx_, &byte, 1);
 }
 
-void TkcServer::DrainerLoop() {
-  BatchResult result;
-  while (cq_.Next(&result)) {
+void TkcServer::StreamCompleted() {
+  for (;;) {
+    BatchResult result;
     {
       MutexLock lock(completed_mu_);
-      completed_.push_back(std::move(result));
+      if (completed_.empty()) return;
+      result = std::move(completed_.front());
+      completed_.pop_front();
     }
-    Wake();
+    HandleCompletion(std::move(result));
   }
 }
 
@@ -179,17 +176,8 @@ void TkcServer::EventLoop() {
     }
 
     // Stream finished batches before accepting new work: verdicts the
-    // drainer queued must not starve behind a busy accept loop.
-    for (;;) {
-      BatchResult result;
-      {
-        MutexLock lock(completed_mu_);
-        if (completed_.empty()) break;
-        result = std::move(completed_.front());
-        completed_.pop_front();
-      }
-      HandleCompletion(std::move(result));
-    }
+    // engine handed over must not starve behind a busy accept loop.
+    StreamCompleted();
 
     if (fds[1].revents & POLLIN) AcceptNew();
 
@@ -214,11 +202,14 @@ void TkcServer::EventLoop() {
       }
     }
 
+    // Requests the cache answered whole completed inside this round's
+    // Submit calls: stream them now rather than a poll round later.
+    StreamCompleted();
     SweepFinished(Now());
   }
 
   // Teardown on the loop thread: every open connection drops. In-flight
-  // batches keep completing into cq_; Stop() settles them.
+  // batches keep completing into completed_; Stop() settles them.
   std::vector<uint64_t> open;
   open.reserve(conns_.size());
   for (const auto& entry : conns_) open.push_back(entry.first);
@@ -354,8 +345,17 @@ void TkcServer::HandleQueryRequest(Connection* conn,
       PendingBatch{conn->serial, request.request_id,
                    static_cast<uint32_t>(request.queries.size())};
   ++conn->inflight;
-  SubmitToQueue(*live_, BatchRequest{std::move(request.queries), deadline},
-                &cq_, tag);
+  // The completion runs on a pool thread, or right here on the loop when
+  // the batch settles at submission (cache-answered, shed, expired).
+  live_->Submit(BatchRequest{std::move(request.queries), deadline},
+                [this, tag](BatchResult&& result) {
+                  result.tag = tag;
+                  {
+                    MutexLock lock(completed_mu_);
+                    completed_.push_back(std::move(result));
+                  }
+                  Wake();
+                });
 }
 
 void TkcServer::HandleStatsRequest(Connection* conn, uint64_t request_id) {
@@ -528,35 +528,22 @@ void TkcServer::Stop() {
   Wake();
   if (loop_.joinable()) loop_.join();
   // The loop is gone but the engine may still be executing batches that
-  // will deliver into cq_. Drain them while the drainer thread still
-  // consumes (so nothing blocks on a full queue), then retire the queue —
-  // after this, no engine-side Deliver can touch this object.
+  // will complete into completed_. Drain them — after this, no engine-side
+  // completion can touch this object (nor the wake pipe closed below).
   live_->DrainAsync();
-  cq_.Shutdown();
-  if (drainer_.joinable()) drainer_.join();
-  // Settle what the dead loop never streamed: completions parked in the
-  // handoff deque, plus any batch whose delivery the closed queue dropped.
-  // Every submitted batch ends accounted (completed + dropped).
-  std::deque<BatchResult> leftovers;
+  // Settle what the dead loop never streamed: each batch still pending has
+  // its result parked in the handoff deque and is accounted dropped, so
+  // every submitted batch ends accounted (completed + dropped).
   {
     MutexLock lock(completed_mu_);
-    leftovers.swap(completed_);
+    completed_.clear();
   }
   {
     MutexLock lock(stats_mu_);
-    for (const BatchResult& result : leftovers) {
-      if (pending_.erase(result.tag) > 0) {
-        ++stats_.batches_completed;
-        ++stats_.responses_dropped;
-      }
-    }
-    for (const auto& entry : pending_) {
-      (void)entry;
-      ++stats_.batches_completed;
-      ++stats_.responses_dropped;
-    }
-    pending_.clear();
+    stats_.batches_completed += pending_.size();
+    stats_.responses_dropped += pending_.size();
   }
+  pending_.clear();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (wake_rx_ >= 0) ::close(wake_rx_);
   if (wake_tx_ >= 0) ::close(wake_tx_);

@@ -31,12 +31,14 @@
 ///    (FrameParser), and writes responses from per-connection outbound
 ///    buffers — no thread per connection, no blocking I/O.
 ///  * **Query execution never runs on the loop.** A decoded query request
-///    is submitted to the LiveQueryEngine's async verb through the
-///    completion-queue adapter (serve/submit.h); the engine's pool executes
-///    it against the pinned snapshot. A dedicated **completion drainer
-///    thread** pops finished batches off the server's BatchCompletionQueue
-///    and hands them to the loop (self-pipe wakeup), which streams the
-///    per-query verdict frames back.
+///    is submitted to the LiveQueryEngine's async verb (serve/submit.h);
+///    the engine's pool executes its misses against the pinned snapshot.
+///    The only serving work the loop does itself is the cache lookup Submit
+///    makes when the engine has no other batch in flight, which answers a
+///    batch the cache holds whole before Submit returns. Either way the
+///    completion pushes the finished batch straight onto the loop's handoff
+///    deque (self-pipe wakeup), and the loop streams the per-query verdict
+///    frames back — in the same round, for a batch answered at submission.
 ///  * **Deadlines propagate end to end.** A request's deadline_ms becomes a
 ///    Deadline at decode time and rides into Submit — a backed-up request
 ///    queue sheds the least-remaining-deadline batch over the wire
@@ -51,12 +53,13 @@
 ///    closes. An abrupt disconnect with batches in flight never loses
 ///    accounting — the verdicts complete and are counted responses_dropped.
 ///
-/// Teardown contract: Stop() closes every connection, drains the engine's
-/// in-flight async batches (LiveQueryEngine::DrainAsync) while the drainer
-/// thread still consumes, then retires the completion queue — so after
-/// Stop() returns, no engine-side delivery can touch this object and every
-/// submitted batch is accounted (streamed, or dropped). The engine itself
-/// stays fully serviceable; the server never owns it.
+/// Teardown contract: Stop() joins the loop (which closes every
+/// connection), drains the engine's in-flight async batches
+/// (LiveQueryEngine::DrainAsync), then settles what the loop never
+/// streamed as dropped — so after Stop() returns, no engine-side completion
+/// can touch this object and every submitted batch is accounted (streamed,
+/// or dropped). The engine itself stays fully serviceable; the server
+/// never owns it.
 
 namespace tkc::net {
 
@@ -78,14 +81,11 @@ struct ServerOptions {
   /// Reap connections with no wire activity and nothing in flight after
   /// this many seconds (half-open peers). <= 0 disables the sweep.
   double idle_timeout_seconds = 0;
-
-  /// Bound of the completion queue between the engine and the drainer.
-  size_t completion_queue_capacity = 256;
 };
 
 class TkcServer {
  public:
-  /// Binds, listens, and starts the loop + drainer threads. `engine` must
+  /// Binds, listens, and starts the loop thread. `engine` must
   /// outlive this server (the server never owns it; many servers could
   /// front one engine).
   [[nodiscard]] static StatusOr<std::unique_ptr<TkcServer>> Start(
@@ -123,7 +123,8 @@ class TkcServer {
   Status Listen();
   void Wake();
   void EventLoop() TKC_EXCLUDES(completed_mu_, stats_mu_);
-  void DrainerLoop() TKC_EXCLUDES(completed_mu_);
+  /// Streams every batch parked in the handoff deque.
+  void StreamCompleted() TKC_EXCLUDES(completed_mu_, stats_mu_);
 
   void AcceptNew() TKC_EXCLUDES(stats_mu_);
   void HandleReadable(Connection* conn) TKC_EXCLUDES(stats_mu_);
@@ -132,7 +133,7 @@ class TkcServer {
   bool HandleWritable(Connection* conn) TKC_EXCLUDES(stats_mu_);
   void ParseFrames(Connection* conn) TKC_EXCLUDES(stats_mu_);
   void HandleQueryRequest(Connection* conn, QueryRequestFrame request)
-      TKC_EXCLUDES(stats_mu_);
+      TKC_EXCLUDES(completed_mu_, stats_mu_);
   void HandleStatsRequest(Connection* conn, uint64_t request_id)
       TKC_EXCLUDES(stats_mu_);
   void HandleCompletion(BatchResult result) TKC_EXCLUDES(stats_mu_);
@@ -173,16 +174,15 @@ class TkcServer {
   /// re-arming POLLOUT into a busy loop.
   bool write_stalled_ = false;
 
-  BatchCompletionQueue cq_;
   Mutex completed_mu_;
-  /// drainer -> loop handoff
+  /// engine completion -> loop handoff (pushed from pool threads, and from
+  /// the loop itself for batches settled at submission)
   std::deque<BatchResult> completed_ TKC_GUARDED_BY(completed_mu_);
 
   mutable Mutex stats_mu_;
   ServerStats stats_ TKC_GUARDED_BY(stats_mu_);
 
   std::thread loop_;
-  std::thread drainer_;
 };
 
 }  // namespace tkc::net

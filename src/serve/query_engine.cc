@@ -95,18 +95,20 @@ class QueryEngine::ArenaLease {
 /// One queued async submission: the batch, its deadline, and the
 /// exactly-once completion. The completion may own a pin on the engine's
 /// owner (LiveQueryEngine's does), which then lives exactly as long as the
-/// batch's tasks hold this batch.
+/// batch's tasks hold this batch. A batch Submit pre-scanned carries its
+/// hit outcomes and miss plan, so dispatch never looks a query up twice.
 struct QueryEngine::AsyncBatch {
   BatchRequest request;
   Completion done;
+  bool scanned = false;
+  std::vector<RunOutcome> outcomes{};
+  BatchPlan plan{};
 };
 
 /// Shared in-flight state of one dispatched batch: leader tasks write
 /// disjoint outcome slots and the last to finish finalizes.
 struct QueryEngine::AsyncBatchState {
   AsyncBatch batch;
-  std::vector<RunOutcome> outcomes;
-  BatchPlan plan;
   std::atomic<size_t> remaining{0};
 };
 
@@ -247,7 +249,7 @@ std::vector<RunOutcome> QueryEngine::ServeBatch(
   } else {
     for (size_t g = 0; g < plan.leaders.size(); ++g) run_leader(g);
   }
-  FanOutFollowers(plan, &outcomes);
+  SettleBatch(plan, &outcomes);
   return outcomes;
 }
 
@@ -259,10 +261,9 @@ QueryEngine::BatchPlan QueryEngine::PreScanBatch(
   // map is batch-local, so no engine-wide lock is held across the scan.
   BatchPlan plan;
   std::unordered_map<QueryCacheKey, size_t, QueryCacheKeyHasher> group_of;
-  Bump(stats_->batches);
   for (size_t i = 0; i < queries.size(); ++i) {
     if (cache_->enabled() && cache_->Lookup(queries[i], &(*outcomes)[i])) {
-      Bump(stats_->queries_served);
+      ++plan.hits;
       continue;
     }
     const QueryCacheKey key{queries[i].k, queries[i].range};
@@ -277,23 +278,18 @@ QueryEngine::BatchPlan QueryEngine::PreScanBatch(
   return plan;
 }
 
-void QueryEngine::FanOutFollowers(const BatchPlan& plan,
-                                  std::vector<RunOutcome>* outcomes) {
-  bool any_followers = false;
+void QueryEngine::SettleBatch(const BatchPlan& plan,
+                              std::vector<RunOutcome>* outcomes) {
+  uint64_t copied = 0;
   for (size_t g = 0; g < plan.leaders.size(); ++g) {
     for (size_t i : plan.followers[g]) {
       (*outcomes)[i] = (*outcomes)[plan.leaders[g]];
-      any_followers = true;
+      ++copied;
     }
   }
-  if (any_followers) {
-    uint64_t copied = 0;
-    for (size_t g = 0; g < plan.leaders.size(); ++g) {
-      copied += plan.followers[g].size();
-    }
-    Bump(stats_->batch_dedup_hits, copied);
-    Bump(stats_->queries_served, copied);
-  }
+  Bump(stats_->batches);
+  Bump(stats_->queries_served, plan.hits + copied);
+  if (copied > 0) Bump(stats_->batch_dedup_hits, copied);
 }
 
 // --- async submission ------------------------------------------------------
@@ -314,12 +310,34 @@ void QueryEngine::CompleteAsyncBatch(AsyncBatch&& batch,
 void QueryEngine::Submit(BatchRequest request, Completion done) {
   const Deadline deadline = request.deadline;
   AsyncBatch batch{std::move(request), std::move(done)};
+  bool idle = false;
   {
     AsyncState* async = async_.get();
     MutexLock lock(async->mu);
+    idle = async->inflight == 0;
     ++async->inflight;
   }
   Bump(stats_->async_batches);
+
+  // An already-dead batch is answered right here, before any cache lookup.
+  if (deadline.Expired()) {
+    Bump(stats_->deadlines_expired);
+    CompleteAsyncBatch(std::move(batch),
+                       Status::Timeout("deadline expired before submission"));
+    return;
+  }
+  // With nothing in flight, the batch is looked up on the calling thread:
+  // one the cache answers whole completes here, with no queue slot,
+  // dispatcher task or pool wake-up. Under load it queues unscanned, so
+  // dispatch stays FIFO, the shed contest sees the same batches it always
+  // did, and no plan goes stale while earlier batches fill the cache.
+  if (idle) {
+    ScanAsyncBatch(&batch);
+    if (batch.plan.leaders.empty()) {
+      FinalizeAsyncBatch(&batch);
+      return;
+    }
+  }
 
   if (deadline.unlimited()) {
     // The queue never closes while the engine lives, so Push cannot fail;
@@ -329,16 +347,10 @@ void QueryEngine::Submit(BatchRequest request, Completion done) {
     return;
   }
 
-  // Deadline-carrying submissions never block: an already-dead batch is
-  // answered right here, and a full queue runs the eviction contest — the
-  // batch with the least remaining deadline (queued or incoming) is shed
-  // with ResourceExhausted so the submitter returns in bounded time.
-  if (deadline.Expired()) {
-    Bump(stats_->deadlines_expired);
-    CompleteAsyncBatch(std::move(batch),
-                       Status::Timeout("deadline expired before submission"));
-    return;
-  }
+  // Deadline-carrying submissions never block: a full queue runs the
+  // eviction contest — the batch with the least remaining deadline (queued
+  // or incoming) is shed with ResourceExhausted so the submitter returns in
+  // bounded time.
   AsyncBatch evicted;
   const PushOutcome outcome = async_->queue.PushOrEvict(
       &batch,
@@ -410,24 +422,22 @@ void QueryEngine::DispatchAsyncBatches() {
 }
 
 void QueryEngine::ProcessAsyncBatch(AsyncBatch batch) {
-  // A batch whose deadline died in the queue is dropped here, before the
-  // pre-scan: executing it would spend pool time on an answer the caller
-  // has already given up on.
+  // A batch whose deadline died in the queue is dropped here, before any
+  // execution: it would spend pool time on an answer the caller has already
+  // given up on.
   if (batch.request.deadline.Expired()) {
     Bump(stats_->deadlines_expired);
     CompleteAsyncBatch(std::move(batch),
                        Status::Timeout("deadline expired before dispatch"));
     return;
   }
-  auto state = std::make_shared<AsyncBatchState>();
-  state->batch = std::move(batch);
-  const std::vector<Query>& queries = state->batch.request.queries;
-  state->outcomes.resize(queries.size());
-  state->plan = PreScanBatch(queries, &state->outcomes);
-  if (state->plan.leaders.empty()) {  // pure cache-hit (or empty) batch
-    FinalizeAsyncBatch(state);
+  if (!batch.scanned) ScanAsyncBatch(&batch);
+  if (batch.plan.leaders.empty()) {  // pure cache-hit (or empty) batch
+    FinalizeAsyncBatch(&batch);
     return;
   }
+  auto state = std::make_shared<AsyncBatchState>();
+  state->batch = std::move(batch);
   // Each distinct miss becomes its own pool task: no worker blocks on a
   // batch barrier, and leaders of different batches interleave freely. The
   // last leader to finish finalizes — possibly while the dispatcher is
@@ -435,30 +445,35 @@ void QueryEngine::ProcessAsyncBatch(AsyncBatch batch) {
   //
   // Relaxed: this store happens-before every leader task via the pool's
   // queue mutex; the cross-leader ordering lives in the acq_rel fetch_sub.
-  state->remaining.store(state->plan.leaders.size(),
-                         std::memory_order_relaxed);
-  for (size_t g = 0; g < state->plan.leaders.size(); ++g) {
+  const size_t num_leaders = state->batch.plan.leaders.size();
+  state->remaining.store(num_leaders, std::memory_order_relaxed);
+  for (size_t g = 0; g < num_leaders; ++g) {
     pool_->Submit([this, state, g] {
       // A stalled worker (when the fault is armed): long enough to expire
       // tight deadlines behind it, short enough to keep fault runs fast.
       FaultStallIfArmed(kFaultDispatchSlowWorker, 20);
-      const size_t i = state->plan.leaders[g];
-      const BatchRequest& request = state->batch.request;
-      state->outcomes[i] =
-          ExecuteUncached(request.queries[i], request.deadline);
+      AsyncBatch& dispatched = state->batch;
+      const size_t i = dispatched.plan.leaders[g];
+      dispatched.outcomes[i] = ExecuteUncached(dispatched.request.queries[i],
+                                               dispatched.request.deadline);
       if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        FinalizeAsyncBatch(state);
+        FinalizeAsyncBatch(&dispatched);
       }
     });
   }
 }
 
-void QueryEngine::FinalizeAsyncBatch(
-    const std::shared_ptr<AsyncBatchState>& state) {
-  FanOutFollowers(state->plan, &state->outcomes);
+void QueryEngine::ScanAsyncBatch(AsyncBatch* batch) {
+  batch->outcomes.resize(batch->request.queries.size());
+  batch->plan = PreScanBatch(batch->request.queries, &batch->outcomes);
+  batch->scanned = true;
+}
+
+void QueryEngine::FinalizeAsyncBatch(AsyncBatch* batch) {
+  SettleBatch(batch->plan, &batch->outcomes);
   BatchResult result;
-  result.outcomes = std::move(state->outcomes);
-  state->batch.done(std::move(result));
+  result.outcomes = std::move(batch->outcomes);
+  batch->done(std::move(result));
   FinishInflight();
 }
 

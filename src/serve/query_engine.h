@@ -158,7 +158,13 @@ class QueryEngine {
   std::vector<RunOutcome> ServeBatch(const std::vector<Query>& queries,
                                      const Deadline& deadline = Deadline());
 
-  /// The async verb; see the threading contract in serve/submit.h.
+  /// The async verb; see the threading contract in serve/submit.h. When no
+  /// other batch is in flight, the batch is looked up in the cache on the
+  /// calling thread: one the cache answers whole (or an empty one)
+  /// completes before Submit returns, and one with misses is queued with
+  /// its hits and plan so dispatch looks nothing up again. A batch arriving
+  /// while others are in flight queues unscanned, keeping dispatch FIFO and
+  /// the shed contest unchanged under load.
   void Submit(BatchRequest request, Completion done);
 
   /// Owner-installed keep-alive for the engine's internal async tasks.
@@ -224,16 +230,18 @@ class QueryEngine {
 
   /// One pre-scan over a batch: cache hits answered inline into
   /// `outcomes`, remaining distinct misses grouped into leaders (first
-  /// occurrence) and followers (in-batch duplicates).
+  /// occurrence) and followers (in-batch duplicates). Counts nothing but
+  /// the cache's own hits and misses: a scanned batch may still be shed.
   struct BatchPlan {
     std::vector<size_t> leaders;
     std::vector<std::vector<size_t>> followers;
+    uint64_t hits = 0;
   };
   BatchPlan PreScanBatch(const std::vector<Query>& queries,
                          std::vector<RunOutcome>* outcomes);
-  /// Copies each leader's outcome to its followers and settles counters.
-  void FanOutFollowers(const BatchPlan& plan,
-                       std::vector<RunOutcome>* outcomes);
+  /// Copies each leader's outcome to its followers and counts the batch,
+  /// its hits and its duplicates as served.
+  void SettleBatch(const BatchPlan& plan, std::vector<RunOutcome>* outcomes);
 
   // Async machinery (defined in query_engine.cc).
   struct AsyncBatch;       ///< one queued submission
@@ -242,7 +250,10 @@ class QueryEngine {
   void ScheduleDispatcher();
   void DispatchAsyncBatches();
   void ProcessAsyncBatch(AsyncBatch batch);
-  void FinalizeAsyncBatch(const std::shared_ptr<AsyncBatchState>& state);
+  void ScanAsyncBatch(AsyncBatch* batch);
+  /// Settles a served batch: followers filled, the completion callback
+  /// runs, and the batch's inflight ticket is released.
+  void FinalizeAsyncBatch(AsyncBatch* batch);
   void FinishInflight();
   /// Settles a dropped batch: every outcome gets `status`, the completion
   /// callback runs, and the batch's inflight ticket is released.

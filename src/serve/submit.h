@@ -25,19 +25,26 @@
 ///    does part of the work itself. An already-expired deadline answers
 ///    every query `Status::Timeout` without touching the cache.
 ///  * `Submit(BatchRequest{queries, deadline}, Completion)` — the async
-///    verb. Enqueues the batch on the engine's bounded request queue and
-///    returns; a pool-resident dispatcher fans each batch's distinct misses
-///    out as individual pool tasks, so no worker blocks on a batch barrier.
+///    verb. When the engine has no other batch in flight the batch is
+///    looked up in the cache on the submitting thread, and a batch the
+///    cache answers whole completes there; otherwise it is enqueued on the
+///    engine's bounded request queue and Submit returns. A pool-resident dispatcher fans each queued batch's
+///    distinct misses out as individual pool tasks, so no worker blocks on
+///    a batch barrier.
 ///
 /// Threading contract of Submit, for both engines and both adapters below:
 ///
 ///  * **Who runs the completion.** It runs exactly once: on the pool task
-///    that finishes the batch's last distinct miss (the dispatcher, for a
-///    batch answered wholly from the cache), or on the submitting thread
-///    when the batch is settled at submission (expired, shed, or the engine
-///    is shutting down). On a 1-thread pool every path runs inline, so
-///    Submit returns after the completion ran. A completion that blocks
-///    holds a pool worker for as long as it blocks.
+///    that finishes the batch's last distinct miss, or on the submitting
+///    thread, before Submit returns, when the batch is settled at
+///    submission — expired, shed, the engine shutting down, or answered
+///    wholly from the cache (or empty) while no other batch was in flight.
+///    A batch answered wholly from the cache that arrived under load
+///    completes on the dispatcher. On a 1-thread pool every path runs
+///    inline, so Submit returns after the completion ran. A completion that
+///    blocks holds a pool worker (or the submitter) for as long as it
+///    blocks; one that takes a lock the submitter holds across Submit
+///    deadlocks.
 ///  * **An unlimited deadline blocks on a full queue.** The submitter waits
 ///    for room (producer backpressure), and such a batch is never shed.
 ///  * **A finite deadline never blocks.** Already expired, the batch settles
@@ -69,7 +76,9 @@ struct BatchResult {
   /// plain QueryEngine, the pinned snapshot's version from a
   /// LiveQueryEngine (serve/snapshot.h).
   uint64_t snapshot_version = 0;
-  /// Caller-chosen correlation tag (set by SubmitToQueue only).
+  /// Caller-chosen correlation tag: 0 from the engines; set by the
+  /// completion (SubmitToQueue's, or a server's) before the result leaves
+  /// it, on whichever thread runs the completion.
   uint64_t tag = 0;
 };
 
@@ -79,8 +88,9 @@ using Completion = std::function<void(BatchResult&&)>;
 /// A caller-owned queue of finished batches, for event-loop-shaped clients
 /// that multiplex many in-flight batches without holding futures. Engine
 /// completions Deliver (stamped with the submission's tag); the client pops
-/// with Next/TryNext. Bounded: a slow consumer eventually blocks the pool
-/// workers delivering completions, which is the intended backpressure.
+/// with Next/TryNext. Bounded: a slow consumer eventually blocks whichever
+/// thread delivers — a pool worker, or the submitter for a batch settled at
+/// submission — which is the intended backpressure.
 class BatchCompletionQueue {
  public:
   explicit BatchCompletionQueue(size_t capacity = 1024) : queue_(capacity) {}

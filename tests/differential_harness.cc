@@ -248,9 +248,7 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
     std::unique_ptr<net::TkcServer> server;
     std::vector<std::unique_ptr<net::TkcClient>> clients;
     if (config.net) {
-      net::ServerOptions server_options;
-      server_options.completion_queue_capacity = 8;  // small: exercise flow
-      auto server_or = net::TkcServer::Start(&live, server_options);
+      auto server_or = net::TkcServer::Start(&live);
       if (!server_or.ok()) {
         report.mismatches = 1;
         report.first_mismatch =

@@ -2,15 +2,18 @@
 // engine's own answers (the determinism contract crosses the wire intact),
 // pipelining, multiple connections, the stats frame, and the shutdown-
 // ordering regressions — destroying a server mid-stream, and
-// LiveQueryEngine::Shutdown()/DrainAsync() while a server still holds the
-// completion queue. Runs under asan/ubsan in CI, where any teardown race
-// turns into a hard failure.
+// LiveQueryEngine::Shutdown()/DrainAsync() while a server still has
+// batches in flight — and the warm path, where the cache answers a request
+// on the event loop itself. Runs under asan/ubsan in CI, where any teardown
+// race turns into a hard failure.
 
 #include "net/server.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -56,6 +59,14 @@ void ExpectMatchesEngine(const net::ClientResponse& response,
   }
 }
 
+void ExpectBalanced(const net::ServerStats& stats) {
+  EXPECT_EQ(stats.batches_submitted, stats.batches_completed);
+  EXPECT_EQ(stats.batches_completed,
+            stats.responses_streamed + stats.responses_dropped);
+  EXPECT_EQ(stats.connections_accepted,
+            stats.connections_closed + stats.connections_dropped);
+}
+
 TEST(TkcServerTest, StartsOnEphemeralPortAndStopsIdempotently) {
   ThreadPool pool(2);
   auto live = MakeLive(&pool);
@@ -96,6 +107,50 @@ TEST(TkcServerTest, WireAnswersMatchDirectEngineAnswers) {
   auto response_invalid = (*client)->Query(invalid);
   ASSERT_TRUE(response_invalid.ok()) << response_invalid.status().ToString();
   ExpectMatchesEngine(*response_invalid, direct_invalid);
+}
+
+// A request the cache answers whole never needs the pool: with every worker
+// wedged, it is still answered — on the event loop, inside Submit.
+TEST(TkcServerTest, CachedRequestIsAnsweredWithThePoolWedged) {
+  ThreadPool pool(2);
+  auto live = MakeLive(&pool);
+  auto server = net::TkcServer::Start(live.get());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = net::TkcClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  const std::vector<Query> queries = SomeQueries();
+  const BatchResult direct = live->ServeBatch(queries);  // warms the cache
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  for (int w = 0; w < 2; ++w) {
+    pool.Submit([gate] { gate.wait(); });
+  }
+  // The gate opens once the answer is in, or after 5 s: a server that needs
+  // the pool after all fails below instead of hanging.
+  std::promise<void> answered;
+  std::atomic<bool> timed_out{false};
+  std::thread watchdog([&, done = answered.get_future()] {
+    if (done.wait_for(std::chrono::seconds(5)) ==
+        std::future_status::timeout) {
+      timed_out.store(true);
+    }
+    release.set_value();
+  });
+  auto response = (*client)->Query(queries);
+  answered.set_value();
+  watchdog.join();
+  EXPECT_FALSE(timed_out.load());
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  for (const net::VerdictFrame& v : response->verdicts) {
+    EXPECT_EQ(net::StatusCodeFromWire(v.status_code), StatusCode::kOk);
+  }
+  ExpectMatchesEngine(*response, direct);
+  (*client)->Close();
+  (*server)->Stop();
+  const net::ServerStats stats = (*server)->stats();
+  EXPECT_EQ(stats.responses_streamed, 1u);
+  ExpectBalanced(stats);
 }
 
 TEST(TkcServerTest, PipelinedRequestsResolveInAnyWaitOrder) {

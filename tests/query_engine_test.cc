@@ -534,6 +534,155 @@ TEST(QueryEngineDeadlineTest, BatchExpiringInQueueIsDroppedAtDispatch) {
   EXPECT_EQ(engine->stats().executed, 0u);
 }
 
+/// Blocks every worker of a pool until Release() (or destruction): work
+/// queued behind the gate cannot run, so a test sees exactly what Submit
+/// does on the submitting thread.
+class PoolWedge {
+ public:
+  PoolWedge(ThreadPool* pool, int workers) : gate_(release_.get_future()) {
+    for (int w = 0; w < workers; ++w) {
+      pool->Submit([gate = gate_] { gate.wait(); });
+    }
+  }
+  ~PoolWedge() { Release(); }
+  void Release() {
+    if (released_) return;
+    released_ = true;
+    release_.set_value();
+  }
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> gate_;
+  bool released_ = false;
+};
+
+/// `n` valid, pairwise distinct k=2 queries (OK outcomes, so the engine
+/// caches them), starting at the `first`-th 20-timestamp window.
+std::vector<Query> WindowQueries(uint32_t first, uint32_t n) {
+  std::vector<Query> queries;
+  for (uint32_t i = first; i < first + n; ++i) {
+    queries.push_back(Query{2, Window{1 + 7 * i, 21 + 7 * i}});
+  }
+  return queries;
+}
+
+std::vector<RunOutcome> SerialOutcomes(const TemporalGraph& g,
+                                       const std::vector<Query>& queries) {
+  std::vector<RunOutcome> outcomes;
+  for (const Query& q : queries) {
+    outcomes.push_back(RunAlgorithm(AlgorithmKind::kEnum, g, q));
+  }
+  return outcomes;
+}
+
+TEST(QueryEngineInlineTest, CachedBatchCompletesOnSubmittingThread) {
+  TemporalGraph g = ServeGraph();
+  std::vector<Query> queries = WindowQueries(0, 6);
+  queries.push_back(queries[2]);  // a duplicate is a hit like any other
+  ThreadPool pool(2);
+  QueryEngineOptions options;
+  options.pool = &pool;
+  auto engine = QueryEngine::Create(g, options);
+  ASSERT_TRUE(engine.ok());
+  const std::vector<RunOutcome> reference = engine->ServeBatch(queries);
+  PoolWedge wedge(&pool, 2);
+
+  const uint64_t hits_before = engine->stats().cache_hits;
+  bool completed = false;
+  std::thread::id ran_on;
+  BatchResult result;
+  engine->Submit({queries}, [&](BatchResult&& r) {
+    completed = true;
+    ran_on = std::this_thread::get_id();
+    result = std::move(r);
+  });
+  // With every worker wedged, only the submitting thread could have run it.
+  ASSERT_TRUE(completed);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  ASSERT_EQ(result.outcomes.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ExpectSameResults(reference[i], result.outcomes[i], "inline");
+  }
+  const ServeStats stats = engine->stats();
+  EXPECT_EQ(stats.cache_hits, hits_before + queries.size());
+  EXPECT_EQ(stats.async_batches, 1u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.queries_served, 2 * queries.size());
+}
+
+TEST(QueryEngineInlineTest, CachedBatchQueuedBehindMissesWaitsItsTurn) {
+  TemporalGraph g = ServeGraph();
+  const std::vector<Query> cached = WindowQueries(0, 6);
+  const std::vector<Query> misses = WindowQueries(6, 6);
+  ThreadPool pool(2);
+  QueryEngineOptions options;
+  options.pool = &pool;
+  auto engine = QueryEngine::Create(g, options);
+  ASSERT_TRUE(engine.ok());
+  engine->ServeBatch(cached);
+  PoolWedge wedge(&pool, 2);
+
+  std::future<BatchResult> miss_future = SubmitFuture(*engine, {misses});
+  std::future<BatchResult> hit_future = SubmitFuture(*engine, {cached});
+  // The miss batch is in flight, so the cached batch queues behind it
+  // instead of overtaking: dispatch stays FIFO under load.
+  EXPECT_EQ(hit_future.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  EXPECT_EQ(miss_future.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::timeout);
+  wedge.Release();
+
+  const std::vector<RunOutcome> miss_reference = SerialOutcomes(g, misses);
+  const std::vector<RunOutcome> hit_reference = SerialOutcomes(g, cached);
+  BatchResult miss_result = miss_future.get();
+  BatchResult hit_result = hit_future.get();
+  ASSERT_EQ(miss_result.outcomes.size(), misses.size());
+  ASSERT_EQ(hit_result.outcomes.size(), cached.size());
+  for (size_t i = 0; i < misses.size(); ++i) {
+    ExpectSameResults(miss_reference[i], miss_result.outcomes[i], "misses");
+    ExpectSameResults(hit_reference[i], hit_result.outcomes[i], "cached");
+  }
+}
+
+TEST(QueryEngineInlineTest, HalfCachedBatchLooksEachQueryUpOnce) {
+  TemporalGraph g = ServeGraph();
+  const std::vector<Query> cached = WindowQueries(0, 4);
+  const std::vector<Query> misses = WindowQueries(4, 4);
+  std::vector<Query> batch;
+  for (size_t i = 0; i < cached.size(); ++i) {
+    batch.push_back(cached[i]);
+    batch.push_back(misses[i]);
+  }
+  ThreadPool pool(2);
+  QueryEngineOptions options;
+  options.pool = &pool;
+  auto engine = QueryEngine::Create(g, options);
+  ASSERT_TRUE(engine.ok());
+  engine->ServeBatch(cached);
+  PoolWedge wedge(&pool, 2);
+
+  auto lookups = [&engine] {
+    const ServeStats stats = engine->stats();
+    return stats.cache_hits + stats.cache_misses;
+  };
+  const uint64_t before = lookups();
+  const uint64_t executed_before = engine->stats().executed;
+  std::future<BatchResult> future = SubmitFuture(*engine, {batch});
+  // Scanned on the submitting thread: every lookup is already done...
+  EXPECT_EQ(lookups(), before + batch.size());
+  wedge.Release();
+  BatchResult result = future.get();
+  // ...and dispatch reuses the scan instead of looking up again.
+  EXPECT_EQ(lookups(), before + batch.size());
+  const std::vector<RunOutcome> reference = SerialOutcomes(g, batch);
+  ASSERT_EQ(result.outcomes.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ExpectSameResults(reference[i], result.outcomes[i], "half cached");
+  }
+  EXPECT_EQ(engine->stats().executed, executed_before + misses.size());
+}
+
 TEST(QueryEngineShedTest, FullQueueShedsLeastRemainingDeadline) {
   TemporalGraph g = ServeGraph();
   GraphStats gstats = ComputeGraphStats(g);
