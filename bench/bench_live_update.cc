@@ -64,10 +64,10 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <latch>
 #include <map>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -407,7 +407,7 @@ int main(int argc, char** argv) {
           identical = identical && (*live)->ApplyUpdates(batch).get().ok();
         }
         double seconds = timer.ElapsedSeconds();
-        const UpdateStats ustats = (*live)->update_stats();
+        const UpdateStats ustats = (*live)->stats().update;
         // Reuse must actually happen: a small localized delta rebuilds
         // strictly fewer slices than max_k every swap.
         identical = identical && ustats.slices_reused > 0 &&
@@ -442,7 +442,7 @@ int main(int argc, char** argv) {
           identical = identical && (*live)->ApplyUpdates(batch).get().ok();
         }
         double seconds = timer.ElapsedSeconds();
-        const UpdateStats ustats = (*live)->update_stats();
+        const UpdateStats ustats = (*live)->stats().update;
         // Partial maintenance must actually fire: end-of-timeline pendant
         // deltas leave no dirty slice to rebuild whole, and the trailing
         // band is tiny so rows genuinely carry. Every reused slice brings
@@ -492,32 +492,28 @@ int main(int argc, char** argv) {
         auto live = LiveQueryEngine::Create(base, overload_options);
         if (!live.ok()) return 1;
         const uint32_t submissions = rounds * 4;
-        // Sized so Deliver never blocks: the consumer below is for
-        // timestamping, not backpressure.
-        BatchCompletionQueue cq(submissions + 1);
         std::vector<double> submit_at(submissions, -1.0);
         std::vector<double> verdict_at(submissions, -1.0);
         std::vector<BatchResult> delivered(submissions);
+        // Each completion stamps its verdict the moment it runs — on a pool
+        // worker, or on this thread for a batch settled at submission —
+        // and writes only its own slot.
+        std::latch settled(submissions);
         WallTimer timer;
-        std::thread consumer([&] {
-          for (uint32_t i = 0; i < submissions; ++i) {
-            BatchResult result;
-            if (!cq.Next(&result)) break;
-            verdict_at[result.tag] = timer.ElapsedSeconds();
-            delivered[result.tag] = std::move(result);
-          }
-        });
         double max_submit = 0;
         for (uint32_t i = 0; i < submissions; ++i) {
           submit_at[i] = timer.ElapsedSeconds();
-          SubmitToQueue(
-              **live,
+          (*live)->Submit(
               {queries, Deadline::AfterSeconds(overload_deadline_seconds)},
-              &cq, i);
+              [&, i](BatchResult&& result) {
+                verdict_at[i] = timer.ElapsedSeconds();
+                delivered[i] = std::move(result);
+                settled.count_down();
+              });
           max_submit =
               std::max(max_submit, timer.ElapsedSeconds() - submit_at[i]);
         }
-        consumer.join();  // every batch delivers exactly one verdict
+        settled.wait();  // every batch delivers exactly one verdict
 
         uint64_t shed = 0, expired = 0, served = 0;
         bool all_delivered = true;

@@ -18,7 +18,8 @@
 //
 // Flags (env fallbacks TKC_<UPPER>): --vertices --edges --timestamps --seed
 // --unique (distinct queries) --repeat (stream repetitions) --reps
-// (best-of) --threads=N (adds one thread count) --algo=enum|enumbase --out.
+// (best-of) --threads=N (adds one thread count) --out. The engine serves the
+// paper's algorithm (Enum); records carry it as "algo".
 // --smoke / TKC_BENCH_SMOKE=1 shrinks everything to CI scale.
 
 #include <algorithm>
@@ -72,11 +73,9 @@ int main(int argc, char** argv) {
   const uint32_t repeat =
       static_cast<uint32_t>(flags.GetInt("repeat", smoke ? 2 : 3));
   const int reps = static_cast<int>(flags.GetInt("reps", smoke ? 1 : 3));
-  const std::string algo = flags.GetString("algo", "enum");
   const std::string out_path =
       flags.GetString("out", "BENCH_serve_throughput.json");
-  const AlgorithmKind kind =
-      algo == "enumbase" ? AlgorithmKind::kEnumBase : AlgorithmKind::kEnum;
+  const AlgorithmKind kind = AlgorithmKind::kEnum;
 
   // Bursty synthetic graph (same generator family as the registry
   // datasets): bursts concentrate edges in time, so query windows actually
@@ -158,7 +157,6 @@ int main(int argc, char** argv) {
   for (int threads : thread_counts) {
     ThreadPool pool(threads);
     QueryEngineOptions options;
-    options.algorithm = kind;
     options.pool = &pool;
     options.cache_capacity = 2 * stream_size;
     options.build_index = true;

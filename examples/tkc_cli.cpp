@@ -1,9 +1,12 @@
 // tkc_cli — command-line front end for time-range temporal k-core queries
-// on SNAP-format files or the built-in synthetic datasets. Since PR 2 the
-// CLI serves through the QueryEngine (serve/query_engine.h): queries are
-// batched, sharded over a thread pool, admission-checked against the PHC
-// index, and memoized in the engine's LRU — the same path a long-lived
-// server would use.
+// on SNAP-format files or the built-in synthetic datasets. The paper's
+// algorithm (--algo=enum, the default) is served through the QueryEngine
+// (serve/query_engine.h): queries are batched, sharded over a thread pool,
+// admission-checked against the PHC index, and memoized in the engine's
+// LRU — the same path a long-lived server would use. The baselines
+// (--algo=enumbase|otcd|naive) bypass the engine: each query runs
+// RunAlgorithm directly, fanned over the same pool, in local batch mode
+// only.
 //
 //   tkc_cli --dataset=CM --k-frac=0.3 --range-frac=0.1 --algo=enum
 //   tkc_cli --file=CollegeMsg.txt --k=5 --ts=1 --te=5000 --algo=otcd
@@ -14,7 +17,9 @@
 //   --k=N | --k-frac=F          absolute k, or fraction of kmax (default .3)
 //   --ts=A --te=B               compacted time range (default: derived)
 //   --range-frac=F              range as a fraction of tmax (default 0.1)
-//   --algo=enum|enumbase|otcd|naive                    (default enum)
+//   --algo=enum|enumbase|otcd|naive                    (default enum;
+//                               the baselines run in local batch mode only,
+//                               not with --serve or --updates)
 //   --queries=N                 batch size (default 1; >1 draws a workload)
 //   --repeat=R                  serve the batch R times  (default 1)
 //   --threads=N                 engine pool size (default TKC_NUM_THREADS /
@@ -42,8 +47,8 @@
 //                               protocol (net/server.h) on PORT (0 picks an
 //                               ephemeral port, printed at startup) until
 //                               stdin closes / Enter is pressed. Engine
-//                               flags (--threads --cache --index --algo
-//                               --limit) apply as usual.
+//                               flags (--threads --cache --index --limit)
+//                               apply as usual.
 //   --connect=HOST:PORT         network client mode: connects a TkcClient,
 //                               sends the query batch --repeat times, and
 //                               prints per-round verdict summaries with the
@@ -56,6 +61,7 @@
 #include <fstream>
 #include <future>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -189,7 +195,7 @@ int RunLiveReplay(tkc::TemporalGraph graph,
       stats.last_rebuild_seconds, stats.last_swap_seconds,
       final_graph.num_vertices(), final_graph.num_edges(),
       final_graph.num_timestamps());
-  const UpdateStats update = (*live)->update_stats();
+  const UpdateStats& update = stats.update;
   std::printf(
       "updater: %llu/%llu batches applied (%llu coalesced), %llu slices "
       "reused / %llu suffix-maintained / %llu rebuilt (%llu incremental "
@@ -226,14 +232,15 @@ int RunServe(tkc::TemporalGraph graph,
     return 1;
   }
   net::ServerOptions server_options;
+  server_options.host = "127.0.0.1";
   server_options.port = static_cast<uint16_t>(port);
   auto server = net::TkcServer::Start(live->get(), server_options);
   if (!server.ok()) {
     std::fprintf(stderr, "server: %s\n", server.status().ToString().c_str());
     return 1;
   }
-  std::printf("serving on 127.0.0.1:%u — press Enter to stop\n",
-              (*server)->port());
+  std::printf("serving on %s:%u — press Enter to stop\n",
+              server_options.host.c_str(), (*server)->port());
   std::fflush(stdout);
   (void)std::getchar();  // EOF works too: serve-until-killed under a pipe
   (*server)->Stop();
@@ -415,7 +422,6 @@ int main(int argc, char** argv) {
                           1024));
   ThreadPool pool(threads);
   QueryEngineOptions options;
-  options.algorithm = kind;
   options.pool = &pool;
   options.cache_capacity = static_cast<size_t>(
       std::clamp<int64_t>(flags.GetInt("cache", 1024), 0, 1 << 24));
@@ -426,6 +432,14 @@ int main(int argc, char** argv) {
   options.per_query_limit_seconds = flags.GetDouble("limit", 0);
 
   const int repeat = std::max<int>(1, flags.GetInt("repeat", 1));
+  if (kind != AlgorithmKind::kEnum &&
+      (flags.Has("serve") || flags.Has("updates"))) {
+    std::fprintf(stderr,
+                 "--algo=%s runs in local batch mode only; --serve and "
+                 "--updates serve the paper's algorithm (--algo=enum)\n",
+                 algo.c_str());
+    return 2;
+  }
   if (flags.Has("serve")) {
     return RunServe(std::move(graph), options,
                     static_cast<int>(flags.GetInt("serve", 0)));
@@ -445,16 +459,37 @@ int main(int argc, char** argv) {
     return RunLiveReplay(std::move(graph), queries, events, options, repeat);
   }
 
-  auto engine = QueryEngine::Create(graph, options);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
-
   WallTimer timer;
   std::vector<RunOutcome> outcomes;
-  for (int r = 0; r < repeat; ++r) {
-    outcomes = engine->ServeBatch(queries);
+  uint64_t queries_served = 0;
+  std::optional<QueryEngine> engine;
+  if (kind == AlgorithmKind::kEnum) {
+    auto created = QueryEngine::Create(graph, options);
+    if (!created.ok()) {
+      std::fprintf(stderr, "engine: %s\n",
+                   created.status().ToString().c_str());
+      return 1;
+    }
+    engine.emplace(std::move(created).value());
+    timer.Restart();
+    for (int r = 0; r < repeat; ++r) {
+      outcomes = engine->ServeBatch(queries);
+    }
+    queries_served = engine->stats().queries_served;
+  } else {
+    // A baseline runs each query on its own: no cache, admission index or
+    // in-batch dedup, just RunAlgorithm fanned over the pool.
+    outcomes.resize(queries.size());
+    for (int r = 0; r < repeat; ++r) {
+      pool.ParallelFor(queries.size(), [&](size_t i, int /*worker*/) {
+        Deadline deadline;
+        if (options.per_query_limit_seconds > 0) {
+          deadline = Deadline::AfterSeconds(options.per_query_limit_seconds);
+        }
+        outcomes[i] = RunAlgorithm(kind, graph, queries[i], deadline);
+      });
+    }
+    queries_served = static_cast<uint64_t>(repeat) * queries.size();
   }
   const double seconds = timer.ElapsedSeconds();
 
@@ -471,23 +506,24 @@ int main(int argc, char** argv) {
     cores += out.num_cores;
     result_edges += out.result_size_edges;
   }
-  ServeStats serve_stats = engine->stats();
   std::printf(
       "%s x%d over %d thread(s): %llu distinct temporal cores, |R|=%llu "
       "edges, %.4fs total (%.1f q/s)\n",
-      algo.c_str(), repeat, engine->num_threads(),
+      algo.c_str(), repeat, pool.num_threads(),
       static_cast<unsigned long long>(cores),
       static_cast<unsigned long long>(result_edges), seconds,
-      seconds > 0 ? static_cast<double>(serve_stats.queries_served) / seconds
-                  : 0.0);
-  std::printf(
-      "engine: served=%llu executed=%llu cache_hits=%llu dedup_hits=%llu "
-      "index_rejections=%llu\n",
-      static_cast<unsigned long long>(serve_stats.queries_served),
-      static_cast<unsigned long long>(serve_stats.executed),
-      static_cast<unsigned long long>(serve_stats.cache_hits),
-      static_cast<unsigned long long>(serve_stats.batch_dedup_hits),
-      static_cast<unsigned long long>(serve_stats.index_rejections));
+      seconds > 0 ? static_cast<double>(queries_served) / seconds : 0.0);
+  if (engine.has_value()) {
+    const ServeStats serve_stats = engine->stats();
+    std::printf(
+        "engine: served=%llu executed=%llu cache_hits=%llu dedup_hits=%llu "
+        "index_rejections=%llu\n",
+        static_cast<unsigned long long>(serve_stats.queries_served),
+        static_cast<unsigned long long>(serve_stats.executed),
+        static_cast<unsigned long long>(serve_stats.cache_hits),
+        static_cast<unsigned long long>(serve_stats.batch_dedup_hits),
+        static_cast<unsigned long long>(serve_stats.index_rejections));
+  }
   if (!all_ok) return 1;
 
   // --- Optional core listing (detailed sink path, first query only). ------

@@ -21,6 +21,10 @@ namespace tkc::net {
 
 namespace {
 
+constexpr int kListenBacklog = 64;
+/// Accepts beyond this many open connections are dropped.
+constexpr size_t kMaxConnections = 64;
+
 Status Errno(const char* what) {
   return Status::Internal(std::string(what) + ": " + std::strerror(errno));
 }
@@ -41,16 +45,12 @@ std::chrono::steady_clock::time_point Now() {
 
 /// Per-connection state, owned by the event loop.
 struct TkcServer::Connection {
-  Connection(uint64_t serial_in, int fd_in, uint32_t max_payload,
-             uint32_t max_queries)
-      : serial(serial_in),
-        fd(fd_in),
-        parser(max_payload, max_queries),
-        last_active(Now()) {}
+  Connection(uint64_t serial_in, int fd_in)
+      : serial(serial_in), fd(fd_in), last_active(Now()) {}
 
   uint64_t serial;
   int fd;
-  FrameParser parser;
+  FrameParser parser;  ///< the wire format's default framing limits
   std::string outbuf;    ///< encoded-but-unsent response bytes
   size_t out_off = 0;    ///< prefix of outbuf already written
   uint32_t inflight = 0; ///< batches submitted, verdicts not yet settled
@@ -64,7 +64,6 @@ struct TkcServer::Connection {
 
 TkcServer::TkcServer(LiveQueryEngine* engine, const ServerOptions& options)
     : live_(engine), options_(options) {
-  if (options_.max_connections == 0) options_.max_connections = 1;
   if (options_.max_outbound_bytes < kFrameHeaderBytes) {
     options_.max_outbound_bytes = kFrameHeaderBytes;
   }
@@ -100,7 +99,7 @@ Status TkcServer::Listen() {
       0) {
     return Errno("bind");
   }
-  if (::listen(listen_fd_, options_.listen_backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     return Errno("listen");
   }
   socklen_t len = sizeof(addr);
@@ -129,14 +128,14 @@ void TkcServer::Wake() {
 
 void TkcServer::StreamCompleted() {
   for (;;) {
-    BatchResult result;
+    CompletedBatch batch;
     {
       MutexLock lock(completed_mu_);
       if (completed_.empty()) return;
-      result = std::move(completed_.front());
+      batch = std::move(completed_.front());
       completed_.pop_front();
     }
-    HandleCompletion(std::move(result));
+    HandleCompletion(batch.pending, std::move(batch.result));
   }
 }
 
@@ -245,16 +244,14 @@ void TkcServer::AcceptNew() {
       MutexLock lock(stats_mu_);
       ++stats_.connections_accepted;
     }
-    if (conns_.size() >= options_.max_connections) {
+    if (conns_.size() >= kMaxConnections) {
       ::close(fd);
       MutexLock lock(stats_mu_);
       ++stats_.connections_dropped;
       continue;
     }
     const uint64_t serial = next_serial_++;
-    conns_.emplace(serial, std::make_unique<Connection>(
-                               serial, fd, options_.max_frame_payload_bytes,
-                               options_.max_queries_per_request));
+    conns_.emplace(serial, std::make_unique<Connection>(serial, fd));
   }
 }
 
@@ -340,19 +337,15 @@ void TkcServer::HandleQueryRequest(Connection* conn,
   if (request.deadline_ms > 0) {
     deadline = Deadline::AfterSeconds(request.deadline_ms / 1000.0);
   }
-  const uint64_t tag = next_tag_++;
-  pending_[tag] =
-      PendingBatch{conn->serial, request.request_id,
-                   static_cast<uint32_t>(request.queries.size())};
+  const PendingBatch pending{conn->serial, request.request_id};
   ++conn->inflight;
   // The completion runs on a pool thread, or right here on the loop when
   // the batch settles at submission (cache-answered, shed, expired).
   live_->Submit(BatchRequest{std::move(request.queries), deadline},
-                [this, tag](BatchResult&& result) {
-                  result.tag = tag;
+                [this, pending](BatchResult&& result) {
                   {
                     MutexLock lock(completed_mu_);
-                    completed_.push_back(std::move(result));
+                    completed_.push_back({pending, std::move(result)});
                   }
                   Wake();
                 });
@@ -369,12 +362,8 @@ void TkcServer::HandleStatsRequest(Connection* conn, uint64_t request_id) {
   if (conn->unsent() > options_.max_outbound_bytes) conn->read_paused = true;
 }
 
-void TkcServer::HandleCompletion(BatchResult result) {
-  auto pending_it = pending_.find(result.tag);
-  if (pending_it == pending_.end()) return;
-  const PendingBatch pending = pending_it->second;
-  pending_.erase(pending_it);
-
+void TkcServer::HandleCompletion(const PendingBatch& pending,
+                                 BatchResult result) {
   bool all_shed = !result.outcomes.empty();
   bool all_timeout = !result.outcomes.empty();
   for (const RunOutcome& outcome : result.outcomes) {
@@ -531,19 +520,20 @@ void TkcServer::Stop() {
   // will complete into completed_. Drain them — after this, no engine-side
   // completion can touch this object (nor the wake pipe closed below).
   live_->DrainAsync();
-  // Settle what the dead loop never streamed: each batch still pending has
-  // its result parked in the handoff deque and is accounted dropped, so
+  // Settle what the dead loop never streamed: every batch it did not stream
+  // has its result parked in the handoff deque and is accounted dropped, so
   // every submitted batch ends accounted (completed + dropped).
+  size_t unstreamed = 0;
   {
     MutexLock lock(completed_mu_);
+    unstreamed = completed_.size();
     completed_.clear();
   }
   {
     MutexLock lock(stats_mu_);
-    stats_.batches_completed += pending_.size();
-    stats_.responses_dropped += pending_.size();
+    stats_.batches_completed += unstreamed;
+    stats_.responses_dropped += unstreamed;
   }
-  pending_.clear();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (wake_rx_ >= 0) ::close(wake_rx_);
   if (wake_tx_ >= 0) ::close(wake_tx_);

@@ -55,10 +55,10 @@
 ///
 /// Teardown contract: Stop() joins the loop (which closes every
 /// connection), drains the engine's in-flight async batches
-/// (LiveQueryEngine::DrainAsync), then settles what the loop never
-/// streamed as dropped — so after Stop() returns, no engine-side completion
-/// can touch this object and every submitted batch is accounted (streamed,
-/// or dropped). The engine itself stays fully serviceable; the server
+/// (LiveQueryEngine::DrainAsync), then counts every batch still parked in
+/// the handoff deque as dropped — so after Stop() returns, no engine-side
+/// completion can touch this object and every submitted batch is accounted
+/// (streamed, or dropped). The engine itself stays fully serviceable; the server
 /// never owns it.
 
 namespace tkc::net {
@@ -66,20 +66,18 @@ namespace tkc::net {
 struct ServerOptions {
   std::string host = "127.0.0.1";  ///< listen address (IPv4 dotted quad)
   uint16_t port = 0;               ///< 0 = ephemeral; see TkcServer::port()
-  int listen_backlog = 64;
-  size_t max_connections = 64;  ///< beyond this, accepts are dropped
-
-  /// Framing limits handed to each connection's FrameParser.
-  uint32_t max_frame_payload_bytes = kMaxPayloadBytes;
-  uint32_t max_queries_per_request = kMaxQueriesPerRequest;
 
   /// Outbound-buffer threshold per connection: above it the loop stops
   /// reading new requests from that peer (slow-reader backpressure);
   /// reading resumes once the buffer drains below half.
+  // lint: test-only-option(max_outbound_bytes): tests shrink it to drive
+  // the slow-reader backpressure path, which the default never reaches.
   size_t max_outbound_bytes = 1u << 20;
 
   /// Reap connections with no wire activity and nothing in flight after
   /// this many seconds (half-open peers). <= 0 disables the sweep.
+  // lint: test-only-option(idle_timeout_seconds): tests set a short
+  // timeout to drive the idle-reaping path, which is off by default.
   double idle_timeout_seconds = 0;
 };
 
@@ -111,11 +109,15 @@ class TkcServer {
 
  private:
   struct Connection;
-  /// One submitted batch awaiting its engine verdicts.
+  /// Where a submitted batch's verdicts go.
   struct PendingBatch {
     uint64_t conn_serial = 0;
     uint64_t request_id = 0;
-    uint32_t num_queries = 0;
+  };
+  /// A finished batch parked in the handoff deque for the loop to stream.
+  struct CompletedBatch {
+    PendingBatch pending;
+    BatchResult result;
   };
 
   TkcServer(LiveQueryEngine* engine, const ServerOptions& options);
@@ -136,7 +138,8 @@ class TkcServer {
       TKC_EXCLUDES(completed_mu_, stats_mu_);
   void HandleStatsRequest(Connection* conn, uint64_t request_id)
       TKC_EXCLUDES(stats_mu_);
-  void HandleCompletion(BatchResult result) TKC_EXCLUDES(stats_mu_);
+  void HandleCompletion(const PendingBatch& pending, BatchResult result)
+      TKC_EXCLUDES(stats_mu_);
   /// Appends one kError frame and flags the connection to flush-then-drop.
   void SendErrorAndClose(Connection* conn, uint64_t request_id,
                          const Status& status) TKC_EXCLUDES(stats_mu_);
@@ -167,9 +170,7 @@ class TkcServer {
   // analysis has no capability for "owned by thread T"; inventing a mutex
   // just to satisfy it would add a lock the design exists to avoid.
   std::map<uint64_t, std::unique_ptr<Connection>> conns_;
-  std::map<uint64_t, PendingBatch> pending_;
   uint64_t next_serial_ = 1;
-  uint64_t next_tag_ = 1;
   /// net.write_stall fired this round: poll with a short timeout instead of
   /// re-arming POLLOUT into a busy loop.
   bool write_stalled_ = false;
@@ -177,7 +178,7 @@ class TkcServer {
   Mutex completed_mu_;
   /// engine completion -> loop handoff (pushed from pool threads, and from
   /// the loop itself for batches settled at submission)
-  std::deque<BatchResult> completed_ TKC_GUARDED_BY(completed_mu_);
+  std::deque<CompletedBatch> completed_ TKC_GUARDED_BY(completed_mu_);
 
   mutable Mutex stats_mu_;
   ServerStats stats_ TKC_GUARDED_BY(stats_mu_);

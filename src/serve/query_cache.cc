@@ -197,64 +197,4 @@ size_t StripedQueryCache::ImportEntries(std::vector<QueryCacheEntry> entries) {
   return resident;
 }
 
-size_t StripedQueryCache::size() const {
-  size_t total = 0;
-  for (const auto& entry : stripes_) {
-    Stripe* stripe = entry.get();
-    MutexLock lock(stripe->mu);
-    total += stripe->cache.size();
-  }
-  return total;
-}
-
-size_t StripedQueryCache::tombstones() const {
-  size_t total = 0;
-  for (const auto& entry : stripes_) {
-    Stripe* stripe = entry.get();
-    MutexLock lock(stripe->mu);
-    total += stripe->cache.tombstones();
-  }
-  return total;
-}
-
-size_t StripedQueryCache::weight_used() const {
-  size_t total = 0;
-  for (const auto& entry : stripes_) {
-    Stripe* stripe = entry.get();
-    MutexLock lock(stripe->mu);
-    total += stripe->cache.weight_used();
-  }
-  return total;
-}
-
-uint64_t StripedQueryCache::hits() const {
-  uint64_t total = 0;
-  for (const auto& entry : stripes_) {
-    Stripe* stripe = entry.get();
-    MutexLock lock(stripe->mu);
-    total += stripe->cache.hits();
-  }
-  return total;
-}
-
-uint64_t StripedQueryCache::misses() const {
-  uint64_t total = 0;
-  for (const auto& entry : stripes_) {
-    Stripe* stripe = entry.get();
-    MutexLock lock(stripe->mu);
-    total += stripe->cache.misses();
-  }
-  return total;
-}
-
-uint64_t StripedQueryCache::evictions() const {
-  uint64_t total = 0;
-  for (const auto& entry : stripes_) {
-    Stripe* stripe = entry.get();
-    MutexLock lock(stripe->mu);
-    total += stripe->cache.evictions();
-  }
-  return total;
-}
-
 }  // namespace tkc

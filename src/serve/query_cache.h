@@ -36,10 +36,11 @@
 /// the cache can hold — and translates to a budget of capacity *
 /// kOutcomeWeight units. Capacity 0 disables the cache entirely.
 ///
-/// The cache is deliberately *not* internally synchronized — QueryEngine
-/// guards it with its own mutex so lookup-miss-insert sequences and the
-/// hit/eviction counters stay coherent under concurrent batches. Use it
-/// directly only from one thread.
+/// The cache is deliberately *not* internally synchronized — each
+/// StripedQueryCache stripe (below) guards its QueryCache with the stripe's
+/// own `mu`, so lookup-miss-insert sequences and the hit/eviction counters
+/// stay coherent under concurrent batches. Use it directly only from one
+/// thread.
 
 namespace tkc {
 
@@ -206,15 +207,15 @@ class StripedQueryCache {
 
   size_t capacity() const { return capacity_; }
   size_t num_stripes() const { return stripes_.size(); }
-  size_t size() const;
-  size_t tombstones() const;
-  size_t weight_used() const;
+  size_t size() const { return Sum(&QueryCache::size); }
+  size_t tombstones() const { return Sum(&QueryCache::tombstones); }
+  size_t weight_used() const { return Sum(&QueryCache::weight_used); }
   size_t weight_capacity() const {
     return capacity_ * QueryCache::kOutcomeWeight;
   }
-  uint64_t hits() const;
-  uint64_t misses() const;
-  uint64_t evictions() const;
+  uint64_t hits() const { return Sum(&QueryCache::hits); }
+  uint64_t misses() const { return Sum(&QueryCache::misses); }
+  uint64_t evictions() const { return Sum(&QueryCache::evictions); }
 
  private:
   /// One stripe: its lock and its share of the budget. Heap-allocated so
@@ -230,6 +231,18 @@ class StripedQueryCache {
 
   size_t StripeOf(const QueryCacheKey& key) const {
     return QueryCacheKeyHasher{}(key) % stripes_.size();
+  }
+
+  /// One counter summed over every stripe, each read under its lock.
+  template <typename T>
+  T Sum(T (QueryCache::*counter)() const) const {
+    T total = 0;
+    for (const auto& entry : stripes_) {
+      Stripe* stripe = entry.get();
+      MutexLock lock(stripe->mu);
+      total += (stripe->cache.*counter)();
+    }
+    return total;
   }
 
   size_t capacity_ = 0;

@@ -5,30 +5,12 @@
 #include <utility>
 
 #include "util/fault_injection.h"
+#include "util/mpsc_queue.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 #include "vct/vct_builder.h"
 
 namespace tkc {
-
-namespace {
-
-/// True iff the algorithm's hot path runs the efficient VCT builder and
-/// therefore profits from a recycled arena.
-bool UsesBuildArena(AlgorithmKind kind) {
-  switch (kind) {
-    case AlgorithmKind::kCoreTime:
-    case AlgorithmKind::kEnumBase:
-    case AlgorithmKind::kEnum:
-      return true;
-    case AlgorithmKind::kOtcd:
-    case AlgorithmKind::kNaive:
-      return false;
-  }
-  return false;
-}
-
-}  // namespace
 
 /// Relaxed-atomic counters behind ServeStats: every hot-path bump is a
 /// lock-free fetch_add; stats() materializes the plain struct. Cache
@@ -68,8 +50,7 @@ struct QueryEngine::ArenaPool {
 // scratch forever.
 class QueryEngine::ArenaLease {
  public:
-  ArenaLease(QueryEngine* engine, bool wanted) : pool_(engine->arenas_.get()) {
-    if (!wanted) return;
+  explicit ArenaLease(QueryEngine* engine) : pool_(engine->arenas_.get()) {
     MutexLock lock(pool_->mu);
     if (!pool_->free_list.empty()) {
       arena_ = std::move(pool_->free_list.back());
@@ -80,7 +61,6 @@ class QueryEngine::ArenaLease {
   }
 
   ~ArenaLease() {
-    if (arena_ == nullptr) return;
     MutexLock lock(pool_->mu);
     pool_->free_list.push_back(std::move(arena_));
   }
@@ -177,9 +157,7 @@ Status QueryEngine::BuildAdmissionIndex() {
     return Status::OK();
   }
   PhcBuildOptions build;
-  build.max_k = options_.index_max_k;
-  build.pool =
-      options_.index_build_pool != nullptr ? options_.index_build_pool : pool_;
+  build.pool = pool_;
   auto index = PhcIndex::Build(*graph_, graph_->FullRange(), build);
   if (!index.ok()) return index.status();
   index_.emplace(std::move(index).value());
@@ -215,8 +193,8 @@ RunOutcome QueryEngine::ExecuteUncached(const Query& query,
           ? Deadline::Earlier(Deadline::AfterSeconds(limit_seconds),
                               batch_deadline)
           : batch_deadline;
-  ArenaLease lease(this, UsesBuildArena(options_.algorithm));
-  out = RunAlgorithm(options_.algorithm, *graph_, query, deadline,
+  ArenaLease lease(this);
+  out = RunAlgorithm(AlgorithmKind::kEnum, *graph_, query, deadline,
                      lease.get());
   Bump(stats_->queries_served);
   Bump(stats_->executed);

@@ -17,10 +17,11 @@
 /// \file query_engine.h
 /// The batch query-serving engine: a long-lived object that owns one
 /// immutable temporal graph plus read-only serving state, accepts batches of
-/// time-range k-core queries, and fans them out over a ThreadPool. It turns
-/// the repo's per-call measurement harness (RunAlgorithm) into a server-
-/// shaped subsystem with two verbs, ServeBatch and Submit (serve/submit.h
-/// states their threading contract once for every engine):
+/// time-range k-core queries, and fans them out over a ThreadPool. Every
+/// miss runs the paper's CoreTime+Enum (RunAlgorithm with
+/// AlgorithmKind::kEnum); the engine turns that per-call runner into a
+/// server-shaped subsystem with two verbs, ServeBatch and Submit
+/// (serve/submit.h states their threading contract once for every engine):
 ///
 ///  * **Sharding.** A batch's distinct misses shard dynamically across the
 ///    pool's workers; every query touches the graph read-only, so batches
@@ -49,8 +50,8 @@
 ///
 /// Determinism contract: the *result* fields of a served outcome (status
 /// code, num_cores, result_size_edges, vct_size, ecs_size) are bit-identical
-/// to a serial RunAlgorithm call at any thread count, batch split, cache
-/// state, or admission path. The *execution* fields (seconds,
+/// to a serial RunAlgorithm(kEnum) call at any thread count, batch split,
+/// cache state, or admission path. The *execution* fields (seconds,
 /// coretime_seconds, peak_memory_bytes) describe how this engine produced
 /// the answer — a cache hit reports the lookup-time outcome of the original
 /// run, an admission rejection reports ~0 cost — and are not comparable
@@ -63,20 +64,9 @@ class QueryEngine;
 
 /// Construction-time configuration of a QueryEngine.
 struct QueryEngineOptions {
-  /// Algorithm every query is served with (the paper's Enum by default).
-  AlgorithmKind algorithm = AlgorithmKind::kEnum;
-
   /// Pool the batches shard over; nullptr uses ThreadPool::Shared(). A
   /// 1-thread pool serves batches serially on the calling thread.
   ThreadPool* pool = nullptr;
-
-  /// Pool the construction-time PHC index build (or the live layer's
-  /// delta-aware Rebuild) fans out over; nullptr falls back to `pool`.
-  /// The live-update layer points this at a dedicated update pool so a
-  /// rebuild never steals the serving pool's workers out from under
-  /// in-flight batches — the contention that collapsed during-update
-  /// throughput at low thread counts.
-  ThreadPool* index_build_pool = nullptr;
 
   /// LRU capacity of the (k, range) -> outcome memo; 0 disables caching.
   /// The memo is hash-striped (StripedQueryCache::kDefaultStripes stripes,
@@ -92,15 +82,6 @@ struct QueryEngineOptions {
   /// Costs one full multi-k index build up front; pays for itself on
   /// workloads with empty-result queries.
   bool build_index = false;
-
-  /// Cap on the admission index's largest k-slice (0 = the span's kmax).
-  /// Rejection stays exact under a cap: a query with k <= the built max_k
-  /// uses its emergence table, and a query with k beyond it is rejected
-  /// only when the index is provably complete — the cap was never reached
-  /// (span kmax < cap, or no cap). When the cap bites (built max_k ==
-  /// cap), beyond-cap queries cannot be proven empty and execute the full
-  /// pipeline.
-  uint32_t index_max_k = 0;
 
   /// Bound of the async request queue: at most this many batches wait for
   /// dispatch (see the Submit contract in serve/submit.h for what a full

@@ -31,19 +31,13 @@ bool IsTransientForRetry(const Status& status) {
   }
 }
 
-}  // namespace
+/// Capped exponential backoff between rebuild attempts (see
+/// LiveQueryEngine::kMaxRebuildAttempts) and the seed of its jitter.
+constexpr double kRetryBackoffInitialMs = 1.0;
+constexpr double kRetryBackoffMaxMs = 100.0;
+constexpr uint64_t kRetryJitterSeed = 0;
 
-const char* HealthStateName(HealthState state) {
-  switch (state) {
-    case HealthState::kHealthy:
-      return "Healthy";
-    case HealthState::kDegraded:
-      return "Degraded";
-    case HealthState::kUpdatesFailed:
-      return "UpdatesFailed";
-  }
-  return "Unknown";
-}
+}  // namespace
 
 StatusOr<std::shared_ptr<GraphSnapshot>> GraphSnapshot::CreateImpl(
     TemporalGraph graph, uint64_t version, const QueryEngineOptions& options) {
@@ -72,7 +66,7 @@ StatusOr<std::shared_ptr<const GraphSnapshot>> GraphSnapshot::Create(
 
 StatusOr<std::shared_ptr<const GraphSnapshot>> GraphSnapshot::CreateSuccessor(
     const GraphSnapshot& base, GraphUpdate update, uint64_t version,
-    const QueryEngineOptions& options) {
+    const QueryEngineOptions& options, ThreadPool* index_pool) {
   // The delta-only validity proof for cached outcomes: with the compacted
   // timeline and vertex pool preserved, every (k, range) outcome with
   // k > the delta's core bound answers identically on the new graph —
@@ -82,32 +76,29 @@ StatusOr<std::shared_ptr<const GraphSnapshot>> GraphSnapshot::CreateSuccessor(
   const uint32_t carry_bound =
       update.delta.empty() ? 0 : update.delta.max_core_bound;
   QueryEngineOptions successor_options = options;
-  // Delta-aware index maintenance: when the base snapshot has an admission
-  // index to rebuild from, produce the successor's index with
-  // PhcIndex::Rebuild — clean slices shared by pointer, dirty ones rebuilt
-  // over the pool — and hand it to the engine as a preloaded index (a
-  // cheap copy: slices are shared). Bit-identical to the from-scratch
-  // build the engine would otherwise run.
-  PhcIndex rebuilt;
+  // The successor's admission index is built here, over `index_pool` (the
+  // live layer's update pool, never the serving pool, whose workers belong
+  // to in-flight query batches), and handed to the engine as a preloaded
+  // index (a cheap copy: slices are shared). With a base index to start
+  // from, the delta-aware PhcIndex::Rebuild shares clean slices by pointer
+  // and rebuilds only dirty ones — bit-identical to a from-scratch build.
+  PhcIndex successor_index;
   PhcRebuildStats rebuild_stats;
-  const PhcIndex* base_index = base.engine().index();
   const bool want_index =
       (options.build_index || options.preloaded_index != nullptr) &&
-      base_index != nullptr && update.graph.num_timestamps() > 0;
+      update.graph.num_timestamps() > 0;
   if (want_index) {
     PhcBuildOptions build;
-    build.max_k = options.index_max_k;
-    // The rebuild fans out over the dedicated update pool when the live
-    // layer provides one — never the serving pool, whose workers belong to
-    // in-flight query batches.
-    build.pool = options.index_build_pool != nullptr ? options.index_build_pool
-                 : options.pool != nullptr          ? options.pool
-                                                    : &ThreadPool::Shared();
-    auto index = PhcIndex::Rebuild(*base_index, update.graph, update.delta,
-                                   build, &rebuild_stats);
+    build.pool = index_pool;
+    const PhcIndex* base_index = base.engine().index();
+    auto index = base_index != nullptr
+                     ? PhcIndex::Rebuild(*base_index, update.graph,
+                                         update.delta, build, &rebuild_stats)
+                     : PhcIndex::Build(update.graph, update.graph.FullRange(),
+                                       build);
     if (!index.ok()) return index.status();
-    rebuilt = std::move(index).value();
-    successor_options.preloaded_index = &rebuilt;  // copied by Create
+    successor_index = std::move(index).value();
+    successor_options.preloaded_index = &successor_index;  // copied by Create
     successor_options.build_index = true;
   }
 
@@ -144,8 +135,7 @@ StatusOr<std::unique_ptr<LiveQueryEngine>> LiveQueryEngine::Create(
 
 LiveQueryEngine::LiveQueryEngine(std::shared_ptr<const GraphSnapshot> initial,
                                  const LiveEngineOptions& options)
-    : options_(options),
-      update_queue_(options.update_queue_capacity),
+    : update_queue_(options.update_queue_capacity),
       updater_([this] { UpdaterLoop(); }) {
   // A preloaded admission index describes exactly one graph — the initial
   // one. Rebuilt snapshots must build their own fresh index (the preloaded
@@ -160,26 +150,14 @@ LiveQueryEngine::LiveQueryEngine(std::shared_ptr<const GraphSnapshot> initial,
   // De-contention: rebuilds fan out over a pool that shares no worker with
   // the serving pool, so a swap in progress costs queries nothing but
   // memory bandwidth.
-  ThreadPool* update_pool = options_.update_pool;
-  if (update_pool == nullptr) {
-    const ThreadPool* serve_pool = options_.engine.pool != nullptr
-                                       ? options_.engine.pool
-                                       : &ThreadPool::Shared();
-    // Default size: the serving pool's width, capped at the physical core
-    // count — rebuild slices beyond real cores buy no parallelism, they
-    // only oversubscribe the machine against the serving threads.
-    size_t threads = options_.update_pool_threads;
-    if (threads == 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      threads = static_cast<size_t>(serve_pool->num_threads());
-      if (hw > 0 && threads > hw) threads = hw;
-    }
-    owned_update_pool_ =
-        std::make_unique<ThreadPool>(static_cast<int>(threads));
-    update_pool = owned_update_pool_.get();
-  }
-  rebuild_engine_options_.index_build_pool = update_pool;
-  jitter_stream_ = SplitMix64(options.retry_jitter_seed);
+  const ThreadPool* serve_pool = options.engine.pool != nullptr
+                                     ? options.engine.pool
+                                     : &ThreadPool::Shared();
+  size_t threads = static_cast<size_t>(serve_pool->num_threads());
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw > 0 && threads > hw) threads = hw;
+  update_pool_ = std::make_unique<ThreadPool>(static_cast<int>(threads));
+  jitter_stream_ = SplitMix64(kRetryJitterSeed);
   // The updater thread is already running (started in the init list); no
   // batch can reach it before Create returns, but take the guard anyway so
   // the "current_ and all_snapshots_ under snapshots_mu_" invariant has no
@@ -209,16 +187,16 @@ void LiveQueryEngine::Shutdown() {
   MutexLock join_lock(shutdown_mu_);
   if (updater_.joinable()) updater_.join();
   // With the updater gone, quiesce the async serving path too: a caller
-  // shutting the engine down while a server still holds completion queues
-  // must be able to destroy those queues the moment this returns.
+  // shutting the engine down while a server still has batches in flight
+  // must be able to tear the server down the moment this returns.
   DrainAsync();
 }
 
 void LiveQueryEngine::DrainAsync() {
   // Drain every snapshot that still exists, not just the current one: a
   // batch pinned to an older version may still be delivering (e.g. into a
-  // caller's BatchCompletionQueue), and the caller must be able to destroy
-  // that queue right after this returns. An expired weak_ptr means every
+  // server's handoff deque), and the caller must be able to destroy that
+  // target right after this returns. An expired weak_ptr means every
   // pin is gone, which implies that snapshot has nothing in flight. The
   // list is copied (and pruned), not cleared, so the call is repeatable —
   // the destructor drains again after Shutdown already did.
@@ -405,7 +383,6 @@ void LiveQueryEngine::UpdaterLoop() {
         stats_.edges_applied += edges.size();
         stats_.last_rebuild_seconds = rebuild_seconds;
         stats_.last_swap_seconds = swap_seconds;
-        stats_.last_delta_edges = swap.delta_edges;
         stats_.update.batches_applied += group.size();
         stats_.update.slices_reused += swap.slices_reused;
         stats_.update.slices_rebuilt += swap.slices_rebuilt;
@@ -433,10 +410,7 @@ Status LiveQueryEngine::RebuildWithRetry(
     const std::shared_ptr<const GraphSnapshot>& base,
     const std::vector<RawTemporalEdge>& edges, uint64_t next_version,
     std::shared_ptr<const GraphSnapshot>* next) {
-  const int max_attempts = std::max(1, options_.max_rebuild_attempts);
-  double backoff_ms = std::max(0.0, options_.retry_backoff_initial_ms);
-  const double backoff_cap =
-      std::max(backoff_ms, options_.retry_backoff_max_ms);
+  double backoff_ms = kRetryBackoffInitialMs;
   Status status;
   bool degraded = false;
   WallTimer degraded_timer;
@@ -450,12 +424,12 @@ Status LiveQueryEngine::RebuildWithRetry(
     if (status.ok()) {
       auto built = GraphSnapshot::CreateSuccessor(
           *base, std::move(update).value(), next_version,
-          rebuild_engine_options_);
+          rebuild_engine_options_, update_pool_.get());
       status = built.ok() ? Status::OK() : built.status();
       if (built.ok()) *next = std::move(built).value();
     }
     if (status.ok() || !IsTransientForRetry(status) ||
-        attempt >= max_attempts) {
+        attempt >= kMaxRebuildAttempts) {
       break;
     }
     if (!degraded) {
@@ -472,7 +446,7 @@ Status LiveQueryEngine::RebuildWithRetry(
     jitter_stream_ = SplitMix64(jitter_stream_);
     const double unit = static_cast<double>(jitter_stream_ >> 11) * 0x1.0p-53;
     const double wait_ms = backoff_ms * (0.5 + 0.5 * unit);
-    backoff_ms = std::min(backoff_ms * 2.0, backoff_cap);
+    backoff_ms = std::min(backoff_ms * 2.0, kRetryBackoffMaxMs);
     bool shutting_down = false;
     {
       // Deadline computed once, then an explicit predicate loop against it:
@@ -525,11 +499,6 @@ HealthState LiveQueryEngine::health() const {
 LiveStats LiveQueryEngine::stats() const {
   MutexLock lock(stats_mu_);
   return stats_;
-}
-
-UpdateStats LiveQueryEngine::update_stats() const {
-  MutexLock lock(stats_mu_);
-  return stats_.update;
 }
 
 }  // namespace tkc

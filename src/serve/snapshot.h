@@ -67,8 +67,8 @@
 
 namespace tkc {
 
-/// Cumulative counters of the delta-aware updater. Exposed via
-/// LiveQueryEngine::update_stats() and printed by `tkc_cli --updates`.
+/// Cumulative counters of the delta-aware updater. Exposed as
+/// LiveStats::update and printed by `tkc_cli --updates`.
 ///
 /// Invariants (asserted by the differential harness after every scenario,
 /// with `failed` = LiveStats::failed_updates):
@@ -123,9 +123,6 @@ enum class HealthState {
   kUpdatesFailed,  ///< a cycle exhausted its retries; updates are failing
 };
 
-/// "Healthy" / "Degraded" / "UpdatesFailed".
-const char* HealthStateName(HealthState state);
-
 /// One immutable graph version with its serving engine. Always heap-owned
 /// via shared_ptr (Create returns one) so in-flight batches can pin it past
 /// a swap; never copied or moved (the engine holds a pointer to the graph).
@@ -149,16 +146,17 @@ class GraphSnapshot {
       TemporalGraph graph, uint64_t version,
       const QueryEngineOptions& options);
 
-  /// Builds the successor of `base` for an applied update: when `base` has
-  /// an admission index and `options` wants one, the successor's index is
-  /// produced by the delta-aware PhcIndex::Rebuild (clean slices shared by
-  /// pointer) and the successor's query cache is seeded with base's
-  /// provably still-valid entries; otherwise this is Create plus
-  /// bookkeeping. swap_stats() records what was reused.
+  /// Builds the successor of `base` for an applied update. When `options`
+  /// wants an admission index, the successor's index is built here over
+  /// `index_pool` — by the delta-aware PhcIndex::Rebuild (clean slices
+  /// shared by pointer) when `base` has an index, by PhcIndex::Build when
+  /// it has none — and handed to the engine as its preloaded index. The
+  /// successor's query cache is seeded with base's provably still-valid
+  /// entries. swap_stats() records what was reused.
   [[nodiscard]] static StatusOr<std::shared_ptr<const GraphSnapshot>>
-  CreateSuccessor(
-      const GraphSnapshot& base, GraphUpdate update, uint64_t version,
-      const QueryEngineOptions& options);
+  CreateSuccessor(const GraphSnapshot& base, GraphUpdate update,
+                  uint64_t version, const QueryEngineOptions& options,
+                  ThreadPool* index_pool);
 
   GraphSnapshot(const GraphSnapshot&) = delete;
   GraphSnapshot& operator=(const GraphSnapshot&) = delete;
@@ -191,43 +189,15 @@ class GraphSnapshot {
 
 /// Configuration of a LiveQueryEngine.
 struct LiveEngineOptions {
-  /// Per-snapshot engine configuration (algorithm, pool, cache, admission
-  /// index, async queue bound). Applied to every rebuilt snapshot.
+  /// Per-snapshot engine configuration (pool, cache, admission index, async
+  /// queue bound). Applied to every rebuilt snapshot.
   QueryEngineOptions engine;
-
-  /// Pool the updater's graph+index rebuilds fan out over. Deliberately
-  /// NOT the serving pool: a rebuild sliced over the serving pool starves
-  /// in-flight query batches for its whole duration (at 2 serving threads
-  /// the one background worker is shared by the async dispatcher, batch
-  /// leaders, and rebuild slices — during-update throughput collapsed to
-  /// ~2% of idle). nullptr makes the live engine own a dedicated pool of
-  /// update_pool_threads; a caller-provided pool must outlive the engine.
-  ThreadPool* update_pool = nullptr;
-
-  /// Size of the internally-owned update pool when update_pool is null; 0
-  /// matches the serving pool's thread count capped at the hardware core
-  /// count (extra rebuild threads past real cores would only oversubscribe
-  /// the machine against serving).
-  size_t update_pool_threads = 0;
 
   /// Bound of the update queue: at most this many ApplyUpdates batches
   /// wait for the updater thread; further calls block (backpressure).
+  // lint: test-only-option(update_queue_capacity): tests shrink it so
+  // ApplyUpdates backpressure and coalescing fire within a few batches.
   size_t update_queue_capacity = 64;
-
-  /// Rebuild attempts per cycle before the coalesced batches fail (>= 1;
-  /// values < 1 are clamped to 1). Only *transient* failures retry —
-  /// Internal/IOError/Corruption/Timeout; a deterministic rejection like
-  /// InvalidArgument fails the cycle immediately, every attempt would
-  /// reproduce it.
-  int max_rebuild_attempts = 3;
-
-  /// Capped exponential backoff between attempts: the n-th retry waits
-  /// roughly initial * 2^n ms (capped), scaled by a seeded jitter factor in
-  /// [0.5, 1.0) so repeated failures don't beat in lockstep with anything.
-  /// Shutdown interrupts the wait and fails the cycle with its last error.
-  double retry_backoff_initial_ms = 1.0;
-  double retry_backoff_max_ms = 100.0;
-  uint64_t retry_jitter_seed = 0;
 };
 
 /// Monotone counters and last-event gauges for the live layer.
@@ -239,7 +209,6 @@ struct LiveStats {
   uint64_t failed_updates = 0;
   double last_rebuild_seconds = 0;  ///< graph + index rebuild of last swap
   double last_swap_seconds = 0;     ///< pointer swap of last swap (~0)
-  uint64_t last_delta_edges = 0;    ///< effective delta size of last swap
   UpdateStats update;               ///< delta-aware updater counters
 };
 
@@ -248,6 +217,16 @@ struct LiveStats {
 /// building and atomically swapping in the successor snapshot.
 class LiveQueryEngine {
  public:
+  /// Rebuild attempts per cycle before the coalesced batches fail. Only
+  /// *transient* failures retry — Internal/IOError/Corruption/Timeout; a
+  /// deterministic rejection like InvalidArgument fails the cycle at once,
+  /// since every attempt would reproduce it. Between attempts the updater
+  /// waits a capped exponential backoff (1 ms doubling to at most 100 ms)
+  /// scaled by a seeded jitter factor in [0.5, 1.0), so repeated failures
+  /// don't beat in lockstep with anything; Shutdown interrupts the wait and
+  /// fails the cycle with its last error.
+  static constexpr int kMaxRebuildAttempts = 3;
+
   /// Stands up version 0 from `initial_graph` and starts the updater
   /// thread. The pool in options.engine (shared pool when null) must
   /// outlive the engine.
@@ -315,25 +294,21 @@ class LiveQueryEngine {
   /// down turns that into "never". Either way every ApplyUpdates future
   /// resolves — nothing hangs on the dead updater. Finally runs
   /// DrainAsync() (see below), so Shutdown is safe to call while a network
-  /// front end still holds completion queues: once it returns, no
-  /// engine-side delivery will touch a caller-owned BatchCompletionQueue.
+  /// front end still has batches in flight: once it returns, no completion
+  /// is still running.
   /// Serving (ServeBatch / Submit / snapshot) stays available.
   /// Idempotent; the destructor calls it first.
   void Shutdown() TKC_EXCLUDES(pause_mu_, shutdown_mu_);
 
   /// Blocks until every async batch accepted so far — against the current
-  /// snapshot *or any superseded one that is still alive* — has delivered
-  /// its result (future settled, or BatchCompletionQueue::Deliver
-  /// returned). The contract a server's teardown needs: after DrainAsync,
-  /// destroying a completion queue the engine was delivering into cannot
+  /// snapshot *or any superseded one that is still alive* — has run its
+  /// completion to the end. The contract a server's teardown needs: after
+  /// DrainAsync, destroying whatever the completions delivered into cannot
   /// race a delivery. Does not block new submissions; callers wanting a
   /// true quiesce stop submitting first. Idempotent, callable repeatedly.
   void DrainAsync() TKC_EXCLUDES(snapshots_mu_);
 
   LiveStats stats() const TKC_EXCLUDES(stats_mu_);
-
-  /// The delta-aware updater counters alone (== stats().update).
-  UpdateStats update_stats() const TKC_EXCLUDES(stats_mu_);
 
   /// Current update-path health. Transitions: kDegraded on a cycle's first
   /// failed attempt, back to kHealthy when a cycle lands a snapshot,
@@ -366,10 +341,9 @@ class LiveQueryEngine {
 
   void SetHealth(HealthState state) TKC_EXCLUDES(stats_mu_);
 
-  LiveEngineOptions options_;
-  /// options_.engine minus preloaded_index: a preloaded admission index
-  /// matches only the initial graph, so rebuilt snapshots always build
-  /// their own (still building one when preloading asked for one —
+  /// LiveEngineOptions::engine minus preloaded_index: a preloaded admission
+  /// index matches only the initial graph, so rebuilt snapshots always
+  /// build their own (still building one when preloading asked for one —
   /// incrementally, via PhcIndex::Rebuild, whenever the base snapshot has
   /// an index to rebuild from).
   QueryEngineOptions rebuild_engine_options_;
@@ -384,16 +358,20 @@ class LiveQueryEngine {
   std::shared_ptr<const GraphSnapshot> current_ TKC_GUARDED_BY(snapshots_mu_);
   /// Every version ever swapped in that may still be alive, so the
   /// destructor can drain batches pinned to superseded snapshots (their
-  /// completion-queue deliveries must finish before the caller tears the
-  /// queue down). Expired entries are pruned on each swap.
+  /// completions must finish before the caller tears down what they
+  /// deliver into). Expired entries are pruned on each swap.
   std::vector<std::weak_ptr<const GraphSnapshot>> all_snapshots_
       TKC_GUARDED_BY(snapshots_mu_);
 
-  /// Internally-owned dedicated update pool (LiveEngineOptions::update_pool
-  /// null); rebuild_engine_options_.index_build_pool points at it (or at
-  /// the caller's update_pool) so PhcIndex::Rebuild never touches the
-  /// serving pool.
-  std::unique_ptr<ThreadPool> owned_update_pool_;
+  /// Pool the updater's index builds fan out over (passed to
+  /// GraphSnapshot::CreateSuccessor). Deliberately NOT the serving pool: a
+  /// rebuild sliced over the serving pool starves in-flight query batches
+  /// for its whole duration (at 2 serving threads the one background worker
+  /// is shared by the async dispatcher, batch leaders, and rebuild slices —
+  /// during-update throughput collapsed to ~2% of idle). As wide as the
+  /// serving pool, capped at the hardware core count: rebuild threads past
+  /// real cores would only oversubscribe the machine against serving.
+  std::unique_ptr<ThreadPool> update_pool_;
 
   mutable Mutex stats_mu_;
   LiveStats stats_ TKC_GUARDED_BY(stats_mu_);

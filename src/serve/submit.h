@@ -8,16 +8,14 @@
 #include <utility>
 #include <vector>
 
-#include "util/mpsc_queue.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/timer.h"
 #include "workload/query_workload.h"
 
 /// \file submit.h
 /// The two serving verbs, shared by QueryEngine (serve/query_engine.h) and
 /// LiveQueryEngine (serve/snapshot.h), their request and result types, and
-/// the adapters over the async verb. Every engine has exactly:
+/// the one adapter over the async verb, SubmitFuture. Every engine has
+/// exactly:
 ///
 ///  * `ServeBatch(queries, deadline = Deadline())` — the sync verb. Runs on
 ///    the calling thread: cache hits are answered inline and the caller
@@ -28,11 +26,11 @@
 ///    verb. When the engine has no other batch in flight the batch is
 ///    looked up in the cache on the submitting thread, and a batch the
 ///    cache answers whole completes there; otherwise it is enqueued on the
-///    engine's bounded request queue and Submit returns. A pool-resident dispatcher fans each queued batch's
-///    distinct misses out as individual pool tasks, so no worker blocks on
-///    a batch barrier.
+///    engine's bounded request queue and Submit returns. A pool-resident
+///    dispatcher fans each queued batch's distinct misses out as individual
+///    pool tasks, so no worker blocks on a batch barrier.
 ///
-/// Threading contract of Submit, for both engines and both adapters below:
+/// Threading contract of Submit, for both engines and SubmitFuture below:
 ///
 ///  * **Who runs the completion.** It runs exactly once: on the pool task
 ///    that finishes the batch's last distinct miss, or on the submitting
@@ -76,71 +74,10 @@ struct BatchResult {
   /// plain QueryEngine, the pinned snapshot's version from a
   /// LiveQueryEngine (serve/snapshot.h).
   uint64_t snapshot_version = 0;
-  /// Caller-chosen correlation tag: 0 from the engines; set by the
-  /// completion (SubmitToQueue's, or a server's) before the result leaves
-  /// it, on whichever thread runs the completion.
-  uint64_t tag = 0;
 };
 
 /// Receives a batch's result; see the threading contract above.
 using Completion = std::function<void(BatchResult&&)>;
-
-/// A caller-owned queue of finished batches, for event-loop-shaped clients
-/// that multiplex many in-flight batches without holding futures. Engine
-/// completions Deliver (stamped with the submission's tag); the client pops
-/// with Next/TryNext. Bounded: a slow consumer eventually blocks whichever
-/// thread delivers — a pool worker, or the submitter for a batch settled at
-/// submission — which is the intended backpressure.
-class BatchCompletionQueue {
- public:
-  explicit BatchCompletionQueue(size_t capacity = 1024) : queue_(capacity) {}
-
-  /// Destruction shuts down first, so a queue dying under a slow consumer
-  /// cannot be freed while an engine-side Deliver still touches it.
-  ~BatchCompletionQueue() { Shutdown(); }
-
-  /// Blocks for the next finished batch; false once Shutdown() was called
-  /// and every delivered batch has been popped.
-  bool Next(BatchResult* out) { return queue_.Pop(out); }
-
-  /// Non-blocking variant; false when nothing is ready right now.
-  bool TryNext(BatchResult* out) { return queue_.TryPop(out); }
-
-  /// Unblocks every Deliver stuck on a full queue (its result is dropped),
-  /// waits for in-flight deliveries to leave the queue, then wakes blocked
-  /// consumers once the delivered backlog drains. After Shutdown returns no
-  /// engine-side Deliver touches this object, so destroying it is safe even
-  /// if a consumer stalled while batches were still completing. Idempotent.
-  void Shutdown() TKC_EXCLUDES(mu_) {
-    queue_.Close();
-    MutexLock lock(mu_);
-    while (delivering_ != 0) idle_.Wait(mu_);
-  }
-
-  size_t pending() const { return queue_.size(); }
-
-  /// Engine-side delivery (blocks while the queue is full; unblocked — with
-  /// the result dropped — by Shutdown()). Two scoped acquisitions bracket
-  /// the potentially-blocking Push, which must not run under the mutex (it
-  /// would deadlock Shutdown's wait against a full queue).
-  void Deliver(BatchResult result) TKC_EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      ++delivering_;
-    }
-    queue_.Push(std::move(result));
-    MutexLock lock(mu_);
-    // Notify under the mutex: a Shutdown() waiter may destroy this object
-    // the instant it observes delivering_ == 0.
-    if (--delivering_ == 0) idle_.NotifyAll();
-  }
-
- private:
-  BoundedMpscQueue<BatchResult> queue_;
-  Mutex mu_;
-  CondVar idle_;
-  size_t delivering_ TKC_GUARDED_BY(mu_) = 0;
-};
 
 /// Future adapter: Submit whose result settles the returned future.
 template <typename Engine>
@@ -151,18 +88,6 @@ std::future<BatchResult> SubmitFuture(Engine& engine, BatchRequest request) {
     promise->set_value(std::move(result));
   });
   return future;
-}
-
-/// Completion-queue adapter: Submit whose result, stamped with `tag`, is
-/// delivered to `cq`. `cq` must outlive the delivery (drain the engine
-/// before destroying it).
-template <typename Engine>
-void SubmitToQueue(Engine& engine, BatchRequest request,
-                   BatchCompletionQueue* cq, uint64_t tag) {
-  engine.Submit(std::move(request), [cq, tag](BatchResult&& result) {
-    result.tag = tag;
-    cq->Deliver(std::move(result));
-  });
 }
 
 }  // namespace tkc

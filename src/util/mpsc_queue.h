@@ -9,10 +9,9 @@
 #include "util/fault_injection.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-#include "util/timer.h"
 
 /// \file mpsc_queue.h
-/// A bounded blocking FIFO for the serving layer's request/completion
+/// A bounded blocking FIFO for the serving layer's request and update
 /// plumbing: many client threads push, one (or more) drainers pop. Design
 /// points:
 ///
@@ -66,51 +65,6 @@ class BoundedMpscQueue {
     }
     not_empty_.NotifyOne();
     return true;
-  }
-
-  /// Enqueues only if there is room right now; never blocks.
-  bool TryPush(T item) TKC_EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      if (closed_ || items_.size() >= capacity_ || FaultFires(kFaultQueueFull))
-        return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.NotifyOne();
-    return true;
-  }
-
-  /// Blocks until there is room, but no later than `deadline`; true iff
-  /// enqueued. An unlimited deadline degenerates to Push(). Returns false
-  /// without enqueueing when the deadline passes or the queue closes — the
-  /// bounded-latency submission primitive the serving layer's shed path
-  /// builds on.
-  bool PushUntil(T item, const Deadline& deadline) TKC_EXCLUDES(mu_) {
-    if (deadline.unlimited()) return Push(std::move(item));
-    {
-      MutexLock lock(mu_);
-      if (FaultFires(kFaultQueueFull)) return false;  // simulated full-forever
-      for (;;) {
-        if (closed_) return false;
-        if (items_.size() < capacity_) break;
-        if (not_full_.WaitUntil(mu_, deadline.time_point()) ==
-            std::cv_status::timeout) {
-          // One final predicate check under the lock: the deadline and a
-          // slot opening can race, and the slot wins ties.
-          if (closed_ || items_.size() >= capacity_) return false;
-          break;
-        }
-      }
-      items_.push_back(std::move(item));
-    }
-    not_empty_.NotifyOne();
-    return true;
-  }
-
-  /// PushUntil with a relative timeout in seconds (≤ 0 means "right now").
-  bool TryPushFor(T item, double seconds) TKC_EXCLUDES(mu_) {
-    return PushUntil(std::move(item),
-                     Deadline::AfterSeconds(std::max(seconds, 0.0)));
   }
 
   /// Never-blocking push with an eviction contest. If there is room,
@@ -192,11 +146,6 @@ class BoundedMpscQueue {
   size_t size() const TKC_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return items_.size();
-  }
-
-  bool closed() const TKC_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return closed_;
   }
 
   size_t capacity() const { return capacity_; }

@@ -1,9 +1,11 @@
 #include "tests/differential_harness.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <span>
@@ -57,7 +59,7 @@ struct PendingBatch {
   std::vector<Query> queries;
   std::optional<std::future<BatchResult>> future;  // async-future flavor
   std::optional<BatchResult> result;               // sync flavor (immediate)
-  bool via_completion_queue = false;               // result arrives tagged
+  bool via_callback = false;  // result lands in the batch's callback slot
   int wire_client = -1;                            // net mode: client index
   uint64_t wire_request_id = 0;                    // net mode: request id
 };
@@ -173,12 +175,11 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
   // --- Engine under test, with seed-varied serving options. -------------
   ThreadPool pool(config.threads);
   LiveEngineOptions options;
-  options.engine.algorithm = AlgorithmKind::kEnum;
   options.engine.pool = &pool;
   options.engine.build_index = rng.NextBool(0.5);
-  options.engine.index_max_k = rng.NextBool(0.3) ? 2 : 0;  // capped sometimes
-  // An unused draw, kept so each seed still generates the scenario it
-  // always has.
+  // Unused draws (the former index cap and another retired option), kept
+  // so each seed still generates the scenario it always has.
+  (void)rng.NextBool(0.3);
   (void)rng.NextBool(0.25);
   options.engine.cache_capacity = rng.NextBool(0.25) ? 0 : 64;
   options.engine.async_queue_capacity = 4;  // small: exercise backpressure
@@ -187,23 +188,20 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
   // so there must be an index to maintain.
   if (config.incremental) options.engine.build_index = true;
 
-  // Fault mode: arm the injection points with scenario-seeded schedules and
-  // switch the updater's retry/backoff on. rebuild.fail at 0.4 against 3
-  // attempts means most cycles land after a retry or two while a few
-  // exhaust and fail their group — both paths stay exercised.
+  // Fault mode: arm the injection points with scenario-seeded schedules.
+  // rebuild.fail at 0.4 against the updater's 3 attempts means most cycles
+  // land after a retry or two while a few exhaust and fail their group —
+  // both paths stay exercised.
   std::optional<ScopedFault> rebuild_fault;
   std::optional<ScopedFault> queue_fault;
   std::optional<ScopedFault> slow_fault;
   if (config.faults) {
-    options.max_rebuild_attempts = 3;
-    options.retry_backoff_initial_ms = 0.2;
-    options.retry_backoff_max_ms = 2.0;
-    options.retry_jitter_seed = config.seed;
     rebuild_fault.emplace(
         kFaultRebuildFail,
         config.exhaust_first_rebuild
             ? FaultSchedule{1.0, config.seed * 31 + 1,
-                            static_cast<uint64_t>(options.max_rebuild_attempts)}
+                            static_cast<uint64_t>(
+                                LiveQueryEngine::kMaxRebuildAttempts)}
             : FaultSchedule{0.4, config.seed * 31 + 1, 0});
     queue_fault.emplace(kFaultQueueFull,
                         FaultSchedule{0.15, config.seed * 31 + 2, 0});
@@ -230,8 +228,13 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
   std::vector<PendingBatch> batches;
   std::vector<std::future<Status>> update_futures;
   std::vector<bool> update_applied(updates.size(), false);
-  BatchCompletionQueue completions(64);
-  size_t cq_submissions = 0;
+  // Results of the raw-Submit flavor: each completion fills its batch's
+  // slot, which is preallocated so no completion races a reallocation.
+  std::vector<BatchResult> callback_results(config.num_query_batches);
+  std::mutex callback_mu;
+  std::condition_variable callback_cv;
+  size_t callbacks_delivered = 0;
+  size_t callback_submissions = 0;
   {
     auto live_or = LiveQueryEngine::Create(initial, options);
     if (!live_or.ok()) {
@@ -290,7 +293,6 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
         return;
       }
       PhcBuildOptions build;
-      build.max_k = options.engine.index_max_k;
       build.pool = &pool;
       auto fresh =
           PhcIndex::Build(snap->graph(), snap->graph().FullRange(), build);
@@ -387,10 +389,15 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
             pending.future = SubmitFuture(live, {pending.queries, deadline});
             break;
           case 1:
-            SubmitToQueue(live, {pending.queries, deadline}, &completions,
-                          batches.size());
-            pending.via_completion_queue = true;
-            ++cq_submissions;
+            live.Submit({pending.queries, deadline},
+                        [&, b](BatchResult&& result) {
+                          std::lock_guard<std::mutex> lock(callback_mu);
+                          callback_results[b] = std::move(result);
+                          ++callbacks_delivered;
+                          callback_cv.notify_all();
+                        });
+            pending.via_callback = true;
+            ++callback_submissions;
             break;
           case 2:
             pending.result = live.ServeBatch(pending.queries, deadline);
@@ -426,10 +433,16 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
         ++report.wire_responses;
       }
     }
-    for (size_t i = 0; i < cq_submissions; ++i) {
-      BatchResult result;
-      if (!completions.Next(&result)) break;
-      batches[result.tag].result = std::move(result);
+    {
+      std::unique_lock<std::mutex> lock(callback_mu);
+      callback_cv.wait(lock, [&] {
+        return callbacks_delivered == callback_submissions;
+      });
+    }
+    for (size_t b = 0; b < batches.size(); ++b) {
+      if (batches[b].via_callback) {
+        batches[b].result = std::move(callback_results[b]);
+      }
     }
     for (size_t i = 0; i < update_futures.size(); ++i) {
       Status status = update_futures[i].get();

@@ -9,7 +9,7 @@
 /// scenario generates a seeded random temporal graph, a seeded stream of
 /// edge-update batches, and a seeded stream of query batches; drives them
 /// through a LiveQueryEngine *concurrently* (async submissions interleaved
-/// with ApplyUpdates snapshot swaps, plus sync and completion-queue
+/// with ApplyUpdates snapshot swaps, plus sync and raw-callback
 /// submissions for API coverage); then checks every served outcome
 /// bit-identically against the naive per-window peeling oracle evaluated
 /// on the exact graph version the engine reports having pinned.
@@ -58,7 +58,7 @@ struct DifferentialConfig {
   /// concurrently. Mutually exclusive with `incremental`.
   bool faults = false;
   /// Fault mode only: `rebuild.fail` fires on every attempt of the first
-  /// rebuild cycle and never again (p = 1 for max_rebuild_attempts fires),
+  /// rebuild cycle and never again (p = 1 for kMaxRebuildAttempts fires),
   /// so that cycle exhausts its retries and fails its whole coalesced group
   /// however the updater happens to coalesce. Makes "some update failed"
   /// a certainty rather than a timing-dependent outcome of p = 0.4.

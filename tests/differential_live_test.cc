@@ -1,6 +1,6 @@
 // The live-update differential sweep: seeded random (graph, update-stream,
-// query-batch) scenarios through a LiveQueryEngine — async futures,
-// completion queues, and sync batches interleaved with ApplyUpdates
+// query-batch) scenarios through a LiveQueryEngine — async futures, raw
+// completion callbacks, and sync batches interleaved with ApplyUpdates
 // snapshot swaps — each outcome checked bit-identically against the naive
 // enumerator on the graph version the engine pinned. Registered under the
 // `differential` ctest label; TKC_DIFF_SCENARIOS overrides the per-thread-
@@ -356,7 +356,7 @@ TEST(LiveQueryEngineTest, SmallDeltaReusesSlicesAndCarriesCache) {
   ASSERT_NE(new_index, nullptr);
   ASSERT_EQ(new_index->max_k(), max_k);  // a pendant edge raises no kmax
 
-  UpdateStats update = (*live)->update_stats();
+  UpdateStats update = (*live)->stats().update;
   EXPECT_GT(update.slices_reused, 0u);
   EXPECT_LT(update.slices_rebuilt, max_k);  // strictly fewer than max_k
   // Every slice is accounted once: carried whole, maintained by suffix
@@ -488,7 +488,7 @@ TEST(LiveQueryEngineTest, LateDeltaMaintainsDirtySlicesBySuffix) {
                   .get()
                   .ok());
 
-  UpdateStats update = (*live)->update_stats();
+  UpdateStats update = (*live)->stats().update;
   EXPECT_GT(update.suffix_rebuilds, 0u);
   // Only the delta-dirtied slices (k <= bound 2) may need any rebuilding,
   // and at least one of them is maintained partially. (A slice can still
@@ -594,26 +594,24 @@ TEST(LiveQueryEngineTest, ShutdownWithoutPauseAppliesQueuedBatches) {
 
 TEST(LiveQueryEngineTest, TransientRebuildFailureRetriesAndRecovers) {
   TemporalGraph g = GenerateUniformRandom(16, 120, 10, 9);
-  LiveEngineOptions options;
-  options.max_rebuild_attempts = 3;
-  options.retry_backoff_initial_ms = 2.0;
-  options.retry_backoff_max_ms = 10.0;
-  options.retry_jitter_seed = 17;
-  auto live = LiveQueryEngine::Create(g, options);
+  auto live = LiveQueryEngine::Create(g, LiveEngineOptions{});
   ASSERT_TRUE(live.ok());
   EXPECT_EQ((*live)->health(), HealthState::kHealthy);
+  static_assert(LiveQueryEngine::kMaxRebuildAttempts == 3);
 
   // The first two rebuild attempts fail with an injected transient error;
-  // the third lands. The batch's future must report success — the retries
-  // are invisible to the submitter except through the counters.
+  // the third (and last) lands. The batch's future must report success —
+  // the retries are invisible to the submitter except through the
+  // counters.
   ScopedFault fault(kFaultRebuildFail, FaultSchedule{1.0, 7, 2});
   ASSERT_TRUE((*live)->ApplyUpdates({{0, 1, 500}}).get().ok());
 
   EXPECT_EQ((*live)->health(), HealthState::kHealthy);
   EXPECT_EQ((*live)->version(), 1u);
-  UpdateStats update = (*live)->update_stats();
+  UpdateStats update = (*live)->stats().update;
   EXPECT_EQ(update.rebuild_retries, 2u);
-  // Two backoff waits of >= 1ms each sit inside the degraded window.
+  // Two backoff waits (1 ms then 2 ms, jittered down to no less than half)
+  // sit inside the degraded window.
   EXPECT_GE(update.degraded_ms, 1u);
   EXPECT_EQ((*live)->stats().swaps, 1u);
   EXPECT_EQ((*live)->stats().failed_updates, 0u);
@@ -624,11 +622,7 @@ TEST(LiveQueryEngineTest, TransientRebuildFailureRetriesAndRecovers) {
 
 TEST(LiveQueryEngineTest, ExhaustedRetriesFailTheBatchAndMarkUnhealthy) {
   TemporalGraph g = GenerateUniformRandom(16, 120, 10, 9);
-  LiveEngineOptions options;
-  options.max_rebuild_attempts = 2;
-  options.retry_backoff_initial_ms = 0.5;
-  options.retry_backoff_max_ms = 2.0;
-  auto live = LiveQueryEngine::Create(g, options);
+  auto live = LiveQueryEngine::Create(g, LiveEngineOptions{});
   ASSERT_TRUE(live.ok());
 
   {
@@ -641,8 +635,9 @@ TEST(LiveQueryEngineTest, ExhaustedRetriesFailTheBatchAndMarkUnhealthy) {
   }
   EXPECT_EQ((*live)->health(), HealthState::kUpdatesFailed);
   EXPECT_EQ((*live)->version(), 0u);
-  UpdateStats update = (*live)->update_stats();
-  EXPECT_EQ(update.rebuild_retries, 1u);  // attempts - 1
+  UpdateStats update = (*live)->stats().update;
+  EXPECT_EQ(update.rebuild_retries,
+            static_cast<uint64_t>(LiveQueryEngine::kMaxRebuildAttempts - 1));
   EXPECT_EQ((*live)->stats().failed_updates, 1u);
   BatchResult result = (*live)->ServeBatch({Query{2, g.FullRange()}});
   EXPECT_TRUE(result.outcomes[0].status.ok());
@@ -657,9 +652,7 @@ TEST(LiveQueryEngineTest, ExhaustedRetriesFailTheBatchAndMarkUnhealthy) {
 
 TEST(LiveQueryEngineTest, DeterministicFailureDoesNotRetry) {
   TemporalGraph g = GenerateUniformRandom(16, 120, 10, 9);
-  LiveEngineOptions options;
-  options.max_rebuild_attempts = 5;  // would retry if misclassified
-  auto live = LiveQueryEngine::Create(g, options);
+  auto live = LiveQueryEngine::Create(g, LiveEngineOptions{});
   ASSERT_TRUE(live.ok());
 
   // A poisoned batch fails validation deterministically: retrying cannot
@@ -667,7 +660,7 @@ TEST(LiveQueryEngineTest, DeterministicFailureDoesNotRetry) {
   // input error must not flip the engine's health.
   Status status = (*live)->ApplyUpdates({{kInvalidVertex, 2, 500}}).get();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ((*live)->update_stats().rebuild_retries, 0u);
+  EXPECT_EQ((*live)->stats().update.rebuild_retries, 0u);
   EXPECT_EQ((*live)->health(), HealthState::kHealthy);
   ASSERT_TRUE((*live)->ApplyUpdates({{0, 1, 500}}).get().ok());
   EXPECT_EQ((*live)->version(), 1u);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "util/fault_injection.h"
-#include "util/timer.h"
 
 namespace tkc {
 namespace {
@@ -24,14 +23,23 @@ TEST(BoundedMpscQueueTest, FifoOrder) {
   EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(BoundedMpscQueueTest, TryPushRespectsCapacity) {
+TEST(BoundedMpscQueueTest, PushOrEvictRespectsCapacity) {
   BoundedMpscQueue<int> queue(2);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  EXPECT_FALSE(queue.TryPush(3));  // full
+  auto less = [](int a, int b) { return a < b; };
+  int evicted = -1;
+  int item = 1;
+  EXPECT_EQ(queue.PushOrEvict(&item, less, &evicted), PushOutcome::kPushed);
+  item = 2;
+  EXPECT_EQ(queue.PushOrEvict(&item, less, &evicted), PushOutcome::kPushed);
+  item = 0;  // full, and the incoming item loses the contest
+  EXPECT_EQ(queue.PushOrEvict(&item, less, &evicted),
+            PushOutcome::kRejectedIncoming);
+  EXPECT_EQ(queue.size(), 2u);
   int out;
   ASSERT_TRUE(queue.TryPop(&out));
-  EXPECT_TRUE(queue.TryPush(3));  // room again
+  EXPECT_EQ(queue.PushOrEvict(&item, less, &evicted),
+            PushOutcome::kPushed);  // room again
+  EXPECT_EQ(evicted, -1);           // nothing was ever evicted
 }
 
 TEST(BoundedMpscQueueTest, TryPopOnEmptyFails) {
@@ -43,8 +51,15 @@ TEST(BoundedMpscQueueTest, TryPopOnEmptyFails) {
 TEST(BoundedMpscQueueTest, ZeroCapacityClampsToOne) {
   BoundedMpscQueue<int> queue(0);
   EXPECT_EQ(queue.capacity(), 1u);
-  EXPECT_TRUE(queue.TryPush(7));
-  EXPECT_FALSE(queue.TryPush(8));
+  auto less = [](int a, int b) { return a < b; };
+  int item = 7, evicted = -1;
+  EXPECT_EQ(queue.PushOrEvict(&item, less, &evicted), PushOutcome::kPushed);
+  item = 6;  // a second item does not fit: the queue holds exactly one
+  EXPECT_EQ(queue.PushOrEvict(&item, less, &evicted),
+            PushOutcome::kRejectedIncoming);
+  EXPECT_EQ(queue.size(), 1u);
+  queue.Close();
+  EXPECT_EQ(queue.PushOrEvict(&item, less, &evicted), PushOutcome::kClosed);
 }
 
 TEST(BoundedMpscQueueTest, CloseDrainsThenFails) {
@@ -119,73 +134,19 @@ TEST(BoundedMpscQueueTest, ManyProducersOneConsumer) {
   EXPECT_EQ(seen.size(), static_cast<size_t>(kProducers * kPerProducer));
 }
 
-TEST(BoundedMpscQueueTest, TryPushForSucceedsWhenRoomFreesUp) {
-  BoundedMpscQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1));
-  std::thread consumer([&] {
-    int out;
-    ASSERT_TRUE(queue.Pop(&out));
-    EXPECT_EQ(out, 1);
-  });
-  // Generous bound: the consumer pops "immediately", the deadline only has
-  // to outlast scheduling noise.
-  EXPECT_TRUE(queue.TryPushFor(2, 30.0));
-  consumer.join();
-  int out;
-  ASSERT_TRUE(queue.Pop(&out));
-  EXPECT_EQ(out, 2);
-}
-
-TEST(BoundedMpscQueueTest, TryPushForTimesOutOnFullQueue) {
-  BoundedMpscQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1));
-  EXPECT_FALSE(queue.TryPushFor(2, 0.01));
-  EXPECT_EQ(queue.size(), 1u);
-}
-
-TEST(BoundedMpscQueueTest, PushUntilExpiredDeadlineFailsFastWhenFull) {
-  BoundedMpscQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1));
-  EXPECT_FALSE(queue.PushUntil(2, Deadline::AfterSeconds(-1.0)));
-}
-
-TEST(BoundedMpscQueueTest, PushUntilUnlimitedDeadlineBlocksLikePush) {
-  BoundedMpscQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(queue.PushUntil(2, Deadline()));  // blocks until a pop
-    second_pushed.store(true);
-  });
-  int out;
-  ASSERT_TRUE(queue.Pop(&out));
-  ASSERT_TRUE(queue.Pop(&out));
-  EXPECT_EQ(out, 2);
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-}
-
-TEST(BoundedMpscQueueTest, CloseWakesProducerBlockedInPushUntil) {
+TEST(BoundedMpscQueueTest, CloseWakesProducerBlockedInPush) {
   BoundedMpscQueue<int> queue(1);
   ASSERT_TRUE(queue.Push(1));
   std::thread producer([&] {
-    // Blocks on the full queue; Close must wake it well before the
-    // deadline, and the push must report failure.
-    EXPECT_FALSE(queue.PushUntil(2, Deadline::AfterSeconds(30.0)));
+    // Blocks on the full queue; Close must wake it, and the push must
+    // report failure.
+    EXPECT_FALSE(queue.Push(2));
   });
   queue.Close();
   producer.join();
   int out;
   EXPECT_TRUE(queue.Pop(&out));  // drain-then-fail still holds
   EXPECT_FALSE(queue.Pop(&out));
-}
-
-TEST(BoundedMpscQueueTest, TryPushForOnZeroCapacityQueue) {
-  BoundedMpscQueue<int> queue(0);  // clamped to 1
-  EXPECT_TRUE(queue.TryPushFor(1, 0.01));
-  EXPECT_FALSE(queue.TryPushFor(2, 0.01));
-  queue.Close();
-  EXPECT_FALSE(queue.TryPushFor(3, 0.01));
 }
 
 TEST(BoundedMpscQueueTest, PushOrEvictPushesWhenRoom) {

@@ -267,10 +267,10 @@ TEST(TkcServerTest, HalfCloseDrainsInFlightThenClosesCleanly) {
   EXPECT_EQ(stats.connections_dropped, 0u);
 }
 
-// The destroy-during-streaming regression (satellite of ISSUE 8): tear the
-// server down the instant a burst of batches is in flight. Stop() must
-// drain the engine's deliveries into the server's completion queue before
-// retiring it — under asan, getting the order wrong is a use-after-free.
+// The destroy-during-streaming regression: tear the server down the instant
+// a burst of batches is in flight. Stop() must drain the engine's
+// completions into the server's handoff deque before retiring it — under
+// asan, getting the order wrong is a use-after-free.
 TEST(TkcServerTest, StopWhileBatchesAreStreamingIsSafe) {
   ThreadPool pool(4);
   auto live = MakeLive(&pool, /*async_queue_capacity=*/4);
@@ -295,11 +295,11 @@ TEST(TkcServerTest, StopWhileBatchesAreStreamingIsSafe) {
   EXPECT_EQ(direct.outcomes.size(), queries.size());
 }
 
-// LiveQueryEngine::Shutdown() while a server still holds the completion
-// queue: Shutdown now quiesces the async path (DrainAsync), so it must be
-// safe in any order relative to server teardown — and serving must stay
-// available afterwards.
-TEST(TkcServerTest, EngineShutdownWhileServerHoldsCompletionQueue) {
+// LiveQueryEngine::Shutdown() while a server still has batches in flight:
+// Shutdown quiesces the async path (DrainAsync), so it must be safe in any
+// order relative to server teardown — and serving must stay available
+// afterwards.
+TEST(TkcServerTest, EngineShutdownWhileServerHasBatchesInFlight) {
   ThreadPool pool(4);
   auto live = MakeLive(&pool);
   auto server = net::TkcServer::Start(live.get());
@@ -331,6 +331,63 @@ TEST(TkcServerTest, EngineShutdownWhileServerHoldsCompletionQueue) {
   EXPECT_EQ(live->ApplyUpdates({{1, 2, 3}}).get().code(),
             StatusCode::kFailedPrecondition);
   (*server)->Stop();
+}
+
+// Stop() with every batch still executing: the loop's teardown drops the
+// connection first, so each completion lands in the handoff deque after
+// the loop is gone, and Stop() must count every one of them dropped.
+TEST(TkcServerTest, StopSettlesBatchesCompletingAfterTheLoopExits) {
+  ThreadPool pool(2);
+  auto live = MakeLive(&pool);
+  auto server_or = net::TkcServer::Start(live.get());
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  std::unique_ptr<net::TkcServer> server = std::move(*server_or);
+  auto client = net::TkcClient::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  // Wedge the pool: no miss can execute until the gate opens (on scope exit
+  // at the latest, so a failed assertion cannot hang the server's Stop).
+  struct Gate {
+    std::promise<void> release;
+    bool open = false;
+    void Open() {
+      if (!open) release.set_value();
+      open = true;
+    }
+    ~Gate() { Open(); }
+  } gate;
+  std::shared_future<void> opened(gate.release.get_future());
+  for (int w = 0; w < 2; ++w) {
+    pool.Submit([opened] { opened.wait(); });
+  }
+  constexpr uint64_t kBatches = 4;
+  for (uint64_t b = 0; b < kBatches; ++b) {
+    // Distinct windows on a cold cache: every batch is a miss.
+    const Timestamp start = static_cast<Timestamp>(1 + b);
+    ASSERT_TRUE((*client)->Send({Query{2, Window{start, 16}}}).ok());
+  }
+  auto wait_for = [&](auto done) {
+    for (int i = 0; i < 2000 && !done(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return done();
+  };
+  ASSERT_TRUE(wait_for(
+      [&] { return server->stats().requests_received == kBatches; }));
+
+  // Stop() joins the loop — whose teardown drops the connection — and then
+  // blocks in DrainAsync behind the wedged pool.
+  std::thread stopper([&] { server->Stop(); });
+  EXPECT_TRUE(wait_for(
+      [&] { return server->stats().connections_dropped == 1; }));
+  gate.Open();
+  stopper.join();
+
+  const net::ServerStats stats = server->stats();
+  EXPECT_EQ(stats.batches_completed, kBatches);
+  EXPECT_EQ(stats.responses_dropped, kBatches);
+  EXPECT_EQ(stats.responses_streamed, 0u);
+  ExpectBalanced(stats);
 }
 
 // Destruction-order torture: engine Shutdown, server destroyed, engine

@@ -3,11 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
-#include <memory>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -62,11 +61,8 @@ void ExpectSameResults(const RunOutcome& serial, const RunOutcome& served,
   EXPECT_EQ(serial.ecs_size, served.ecs_size) << context;
 }
 
-class QueryEngineBitIdenticalTest
-    : public ::testing::TestWithParam<AlgorithmKind> {};
-
-TEST_P(QueryEngineBitIdenticalTest, MatchesSerialRunnerAt1And2And8Threads) {
-  const AlgorithmKind kind = GetParam();
+TEST(QueryEngineBitIdenticalTest, MatchesSerialRunnerAt1And2And8Threads) {
+  const AlgorithmKind kind = AlgorithmKind::kEnum;
   TemporalGraph g = ServeGraph();
   GraphStats stats = ComputeGraphStats(g);
   std::vector<Query> queries = MixedQueries(g, stats.kmax);
@@ -80,7 +76,6 @@ TEST_P(QueryEngineBitIdenticalTest, MatchesSerialRunnerAt1And2And8Threads) {
   for (int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
     QueryEngineOptions options;
-    options.algorithm = kind;
     options.pool = &pool;
     options.build_index = true;  // exercise the admission fast path too
     auto engine = QueryEngine::Create(g, options);
@@ -101,15 +96,6 @@ TEST_P(QueryEngineBitIdenticalTest, MatchesSerialRunnerAt1And2And8Threads) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllAlgorithms, QueryEngineBitIdenticalTest,
-                         ::testing::Values(AlgorithmKind::kEnum,
-                                           AlgorithmKind::kEnumBase,
-                                           AlgorithmKind::kCoreTime,
-                                           AlgorithmKind::kOtcd),
-                         [](const auto& info) {
-                           return AlgorithmName(info.param);
-                         });
 
 TEST(QueryEngineAdmissionTest, EmergenceTableMatchesPeelingOracle) {
   TemporalGraph g = ServeGraph();
@@ -306,11 +292,16 @@ TEST(QueryEngineIndexTest, CappedIndexNeverRejectsAboveCap) {
   TemporalGraph g = ServeGraph();
   GraphStats stats = ComputeGraphStats(g);
   ASSERT_GT(stats.kmax, 2u);
+  PhcBuildOptions build;
+  build.max_k = 2;  // below the true kmax
+  auto capped = PhcIndex::Build(g, g.FullRange(), build);
+  ASSERT_TRUE(capped.ok());
+  ASSERT_FALSE(capped->complete());
   QueryEngineOptions options;
-  options.build_index = true;
-  options.index_max_k = 2;  // below the true kmax
+  options.preloaded_index = &*capped;
   auto engine = QueryEngine::Create(g, options);
   ASSERT_TRUE(engine.ok());
+  ASSERT_EQ(engine->index()->max_k(), 2u);
   // k above the cap is not provably empty, so the engine must execute, and
   // the result must still match the pipeline.
   const Query q{3, Window{1, g.num_timestamps()}};
@@ -366,7 +357,7 @@ TEST(QueryEngineAsyncTest, ManyOverlappingSubmissionsAllComplete) {
   EXPECT_EQ(engine->stats().async_batches, 16u);
 }
 
-TEST(QueryEngineAsyncTest, CompletionQueueDeliversTaggedResults) {
+TEST(QueryEngineAsyncTest, CompletionCallbacksRunOncePerBatch) {
   TemporalGraph g = ServeGraph();
   GraphStats stats = ComputeGraphStats(g);
   std::vector<Query> queries = MixedQueries(g, stats.kmax);
@@ -376,25 +367,27 @@ TEST(QueryEngineAsyncTest, CompletionQueueDeliversTaggedResults) {
   auto engine = QueryEngine::Create(g, options);
   ASSERT_TRUE(engine.ok());
   std::vector<RunOutcome> reference = engine->ServeBatch(queries);
-  BatchCompletionQueue cq(8);
-  constexpr uint64_t kBatches = 6;
-  for (uint64_t tag = 0; tag < kBatches; ++tag) {
-    SubmitToQueue(*engine, {queries}, &cq, 100 + tag);
+  engine->ClearCache();  // the batches must execute, not replay
+  // Many in-flight batches multiplexed through plain callbacks: each
+  // completion writes only its own slot, so no lock is needed until the
+  // drain below orders every write before the reads.
+  constexpr size_t kBatches = 6;
+  std::vector<BatchResult> results(kBatches);
+  std::vector<std::atomic<int>> calls(kBatches);
+  for (size_t b = 0; b < kBatches; ++b) {
+    engine->Submit({queries}, [&results, &calls, b](BatchResult&& result) {
+      results[b] = std::move(result);
+      calls[b].fetch_add(1);
+    });
   }
-  uint64_t seen = 0;
-  std::set<uint64_t> tags;
-  BatchResult result;
-  while (seen < kBatches && cq.Next(&result)) {
-    ++seen;
-    tags.insert(result.tag);
+  engine->DrainAsync();
+  for (size_t b = 0; b < kBatches; ++b) {
+    EXPECT_EQ(calls[b].load(), 1) << "batch " << b;
+    ASSERT_EQ(results[b].outcomes.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-      ExpectSameResults(reference[i], result.outcomes[i], "cq");
+      ExpectSameResults(reference[i], results[b].outcomes[i], "callback");
     }
   }
-  EXPECT_EQ(seen, kBatches);
-  EXPECT_EQ(tags.size(), kBatches);  // every tag delivered exactly once
-  EXPECT_EQ(*tags.begin(), 100u);
-  engine->DrainAsync();
 }
 
 TEST(QueryEngineAsyncTest, EmptyBatchCompletesImmediately) {
@@ -431,12 +424,11 @@ TEST(QueryEngineAsyncTest, DestructorDrainsInFlightBatches) {
   }
 }
 
-// --- robustness: deadlines, shedding, completion-queue shutdown ------------
+// --- robustness: deadlines and shedding -------------------------------------
 
 TEST(QueryEngineDeadlineTest, ExpiredDeadlineTimesOutWithoutTouchingIndex) {
   TemporalGraph g = ServeGraph();
   QueryEngineOptions options;
-  options.algorithm = AlgorithmKind::kCoreTime;
   options.build_index = true;
   auto engine = QueryEngine::Create(g, options);
   ASSERT_TRUE(engine.ok());
@@ -757,41 +749,6 @@ TEST(QueryEngineShedTest, UnlimitedDeadlineBatchIsNeverEvicted) {
   BatchResult served = unlimited.get();
   EXPECT_EQ(served.outcomes.size(), queries.size());
   EXPECT_EQ(engine->stats().batches_shed, 1u);
-}
-
-TEST(BatchCompletionQueueTest, ShutdownUnblocksBlockedDeliver) {
-  auto cq = std::make_unique<BatchCompletionQueue>(1);
-  cq->Deliver(BatchResult{});  // fills the queue
-  std::thread delivering([&] {
-    cq->Deliver(BatchResult{});  // blocks on the full queue until Shutdown
-  });
-  // Bias toward the delivery genuinely blocking before Shutdown lands (both
-  // interleavings are valid; this makes the interesting one overwhelmingly
-  // likely).
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  cq->Shutdown();  // must unblock the stuck Deliver and wait it out
-  delivering.join();
-  cq.reset();  // destructor-while-delivering regression: safe after Shutdown
-}
-
-TEST(BatchCompletionQueueTest, ShutdownWithEngineStillDelivering) {
-  TemporalGraph g = ServeGraph();
-  GraphStats gstats = ComputeGraphStats(g);
-  std::vector<Query> queries = MixedQueries(g, gstats.kmax);
-  ThreadPool pool(2);
-  QueryEngineOptions options;
-  options.pool = &pool;
-  auto engine = QueryEngine::Create(g, options);
-  ASSERT_TRUE(engine.ok());
-  auto cq = std::make_unique<BatchCompletionQueue>(1);
-  // More finished batches than the queue holds, and no consumer: deliveries
-  // beyond the first wedge pool workers inside Deliver.
-  for (uint64_t tag = 0; tag < 4; ++tag) {
-    SubmitToQueue(*engine, {queries}, cq.get(), tag);
-  }
-  cq->Shutdown();        // unblocks any stuck Deliver (results dropped)
-  engine->DrainAsync();  // every batch settles; no Deliver can start later
-  cq.reset();            // and destroying the queue is now safe
 }
 
 }  // namespace

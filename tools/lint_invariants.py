@@ -43,6 +43,20 @@ Rules, each with its rationale:
                    system cannot see; the argument must live next to the
                    code.
 
+  options-caller   Every field of a `*Options` struct declared under
+                   src/serve or src/net must be assigned (`.field =` or
+                   `->field =`, possibly through a nested member such as
+                   `options.engine.pool =`) somewhere in src/, bench/,
+                   examples/ or e2ebench/ — tests/ does not count. A field
+                   only tests set needs a waiver on the comment lines
+                   directly above it (or on its own line):
+                       // lint: test-only-option(<field>): <reason>
+                   An assignment to a class's own `options_` copy (a clamp
+                   of the caller's value) is not a caller. A knob nothing
+                   sets is dead surface: its default is the behaviour, so
+                   it belongs in a constant. The match is by field name,
+                   so a same-named field of another struct also counts.
+
 Exit status: 0 when clean, 1 with one `file:line: [rule] message` per
 violation otherwise.
 """
@@ -68,6 +82,12 @@ STATUS_DECL = re.compile(
     r"(?:static\s+|inline\s+|friend\s+|constexpr\s+)*"
     r"(?:tkc::)?Status(?:Or<.*>)?\s+\w+\s*\("
 )
+OPTIONS_STRUCT = re.compile(r"^\s*struct\s+(\w+Options)\s*\{")
+OPTION_FIELD = re.compile(
+    r"^\s*(?:const\s+)?[\w:<>*,\s]*?[\w>*]\s+\**(\w+)\s*(?:=[^=].*|\{.*\})?;")
+OPTION_WAIVER = re.compile(r"//\s*lint:\s*test-only-option\((\w+)\)\s*:\s*\S")
+OPTION_DIRS = ("serve", "net")
+CALLER_DIRS = ("bench", "examples", "e2ebench")
 SLEEP_FOR = re.compile(r"sleep_for\s*\(")
 RELAXED = re.compile(r"memory_order_relaxed")
 RELAXED_COMMENT = re.compile(r"//.*relaxed", re.IGNORECASE)
@@ -211,6 +231,94 @@ def check_file(path, rel, violations):
                  "lines"))
 
 
+def option_fields(path):
+    """(struct, field, line) for every data member of every `*Options`
+    struct in `path`, plus the set of fields waived as test-only."""
+    with open(path, encoding="utf-8") as f:
+        raw = f.read()
+    raw_lines = raw.splitlines()
+    code_lines = strip_comments_keep_lines(raw).splitlines()
+    fields = []
+    waived = set()
+    struct, depth = None, 0
+    for lineno, line in enumerate(code_lines, 1):
+        if struct is None:
+            m = OPTIONS_STRUCT.match(line)
+            if m:
+                struct, depth = m.group(1), line.count("{") - line.count("}")
+            continue
+        if depth == 1:
+            m = OPTION_FIELD.match(line)
+            if m and "(" not in line.split("=")[0]:
+                field = m.group(1)
+                fields.append((struct, field, lineno))
+                # The waiver sits on the field's line or in the comment
+                # block directly above it.
+                i = lineno - 1
+                block = [raw_lines[i]]
+                while i > 0 and raw_lines[i - 1].strip().startswith("//"):
+                    i -= 1
+                    block.append(raw_lines[i])
+                if any((w := OPTION_WAIVER.search(l)) and w.group(1) == field
+                       for l in block):
+                    waived.add(field)
+        depth += line.count("{") - line.count("}")
+        if depth <= 0:
+            struct = None
+    return fields, waived
+
+
+def assigned_fields(roots):
+    """Names assigned through `.name =` / `->name =` anywhere under `roots`,
+    except through a class's own `options_` copy."""
+    assign = re.compile(
+        r"(\w+)?\s*(?:\.|->)\s*(\w+)((?:\s*(?:\.|->)\s*\w+)*)\s*=(?!=)")
+    names = set()
+    for root in roots:
+        if not os.path.isdir(root):
+            continue
+        for dirpath, _, filenames in sorted(os.walk(root)):
+            for name in sorted(filenames):
+                if not name.endswith((".h", ".cc", ".cpp")):
+                    continue
+                with open(os.path.join(dirpath, name), encoding="utf-8") as f:
+                    code = strip_comments_keep_lines(f.read())
+                for m in assign.finditer(code):
+                    if m.group(1) == "options_":
+                        continue
+                    names.add(m.group(2))
+                    for part in re.findall(r"\w+", m.group(3)):
+                        names.add(part)
+    return names
+
+
+def check_option_callers(src_root, violations):
+    """The options-caller rule over `src_root` (the repo's src/) and its
+    sibling caller directories."""
+    repo = os.path.dirname(src_root)
+    assigned = assigned_fields(
+        [src_root] + [os.path.join(repo, d) for d in CALLER_DIRS])
+    for sub in OPTION_DIRS:
+        base = os.path.join(src_root, sub)
+        if not os.path.isdir(base):
+            continue
+        for name in sorted(os.listdir(base)):
+            if not name.endswith(".h"):
+                continue
+            path = os.path.join(base, name)
+            rel = os.path.relpath(path, src_root)
+            fields, waived = option_fields(path)
+            for struct, field, lineno in fields:
+                if field in assigned or field in waived:
+                    continue
+                violations.append(
+                    (rel, lineno, "options-caller",
+                     f"{struct}::{field} is assigned nowhere in src/, "
+                     "bench/, examples/ or e2ebench/; make it a constant, "
+                     f"or waive with '// lint: test-only-option({field}): "
+                     "<reason>'"))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=None,
@@ -232,6 +340,7 @@ def main():
             path = os.path.join(dirpath, name)
             rel = os.path.relpath(path, root)
             check_file(path, rel, violations)
+    check_option_callers(root, violations)
 
     for rel, lineno, rule, message in violations:
         print(f"{rel}:{lineno}: [{rule}] {message}")

@@ -127,6 +127,95 @@ class LintInvariantsTest(unittest.TestCase):
                "x.load(std::memory_order_relaxed);\n")
         self.assertIn("relaxed-comment", self.rules("serve/foo.cc", src))
 
+    # --- options-caller -----------------------------------------------------
+
+    def option_violations(self, files):
+        """Writes `files` ({repo-relative path: content}) into a temp repo
+        and returns the options-caller violations as (field, line) pairs."""
+        with tempfile.TemporaryDirectory() as repo:
+            for rel, content in files.items():
+                path = os.path.join(repo, rel)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with open(path, "w", encoding="utf-8") as f:
+                    f.write(content)
+            violations = []
+            lint_invariants.check_option_callers(os.path.join(repo, "src"),
+                                                 violations)
+            return [(msg.split("::")[1].split(" ")[0], line)
+                    for (_, line, rule, msg) in violations
+                    if rule == "options-caller"]
+
+    OPTIONS_H = ("struct FooOptions {\n"
+                 "  /// Pool to run on.\n"
+                 "  ThreadPool* pool = nullptr;\n"
+                 "  size_t capacity = 64;\n"
+                 "};\n")
+
+    def test_unassigned_option_flagged(self):
+        found = self.option_violations({
+            "src/serve/foo.h": self.OPTIONS_H,
+            "bench/b.cc": "void F() { FooOptions o; o.pool = &p; }\n",
+        })
+        self.assertEqual(found, [("capacity", 4)])
+
+    def test_assignment_in_each_caller_dir_counts(self):
+        for caller in ("src/serve/x.cc", "bench/b.cc", "examples/e.cpp",
+                       "e2ebench/d.cc"):
+            found = self.option_violations({
+                "src/net/foo.h": self.OPTIONS_H,
+                caller: "void F() { o->pool = &p; o.capacity = 8; }\n",
+            })
+            self.assertEqual(found, [], caller)
+
+    def test_nested_member_assignment_counts(self):
+        src = ("struct LiveOptions {\n  FooOptions engine;\n};\n" +
+               self.OPTIONS_H)
+        found = self.option_violations({
+            "src/serve/foo.h": src,
+            "e2ebench/d.cc": "void F() { o.engine.pool = &p; "
+                             "o.engine.capacity = 1; }\n",
+        })
+        self.assertEqual(found, [])
+
+    def test_tests_dir_and_comparisons_do_not_count(self):
+        found = self.option_violations({
+            "src/serve/foo.h": self.OPTIONS_H,
+            "tests/t.cc": "void F() { o.pool = &p; o.capacity = 1; }\n",
+            "bench/b.cc": "bool F() { return o.pool == p; }\n"
+                          "// o.capacity = 3;\n",
+        })
+        self.assertEqual(sorted(found), [("capacity", 4), ("pool", 3)])
+
+    def test_own_options_copy_clamp_does_not_count(self):
+        found = self.option_violations({
+            "src/net/foo.h": self.OPTIONS_H,
+            "src/net/foo.cc": "void F() { options_.capacity = 1; "
+                              "options_.pool = nullptr; }\n",
+        })
+        self.assertEqual(sorted(found), [("capacity", 4), ("pool", 3)])
+
+    def test_waiver_above_field_satisfies(self):
+        src = ("struct FooOptions {\n"
+               "  /// Queue bound.\n"
+               "  // lint: test-only-option(capacity): tests shrink it\n"
+               "  // to reach the backpressure path.\n"
+               "  size_t capacity = 64;\n"
+               "};\n")
+        self.assertEqual(self.option_violations({"src/serve/foo.h": src}),
+                         [])
+
+    def test_waiver_for_other_field_does_not_satisfy(self):
+        src = ("struct FooOptions {\n"
+               "  // lint: test-only-option(other): reason\n"
+               "  size_t capacity = 64;\n"
+               "};\n")
+        self.assertEqual(self.option_violations({"src/serve/foo.h": src}),
+                         [("capacity", 3)])
+
+    def test_options_outside_serve_and_net_ignored(self):
+        self.assertEqual(
+            self.option_violations({"src/vct/foo.h": self.OPTIONS_H}), [])
+
     # --- reporting ----------------------------------------------------------
 
     def test_violation_carries_line_number(self):
