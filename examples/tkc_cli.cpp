@@ -57,6 +57,7 @@
 //                               --stats fetches the server's counters.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -83,6 +84,27 @@
 #include "workload/query_workload.h"
 
 namespace {
+
+// The --algo names, or nullopt for a name tkc_cli does not know.
+std::optional<tkc::AlgorithmKind> ParseAlgo(const std::string& name) {
+  if (name == "enum") return tkc::AlgorithmKind::kEnum;
+  if (name == "enumbase") return tkc::AlgorithmKind::kEnumBase;
+  if (name == "otcd") return tkc::AlgorithmKind::kOtcd;
+  if (name == "naive") return tkc::AlgorithmKind::kNaive;
+  return std::nullopt;
+}
+
+// The wire deadline for --limit=S: unlimited (0) when S <= 0, else S in
+// milliseconds rounded up, so a sub-millisecond limit stays a limit (0 on
+// the wire means unlimited), and clamped to the field's range.
+uint32_t LimitToDeadlineMs(double limit_seconds) {
+  if (!(limit_seconds > 0)) return 0;
+  const double ms = std::ceil(limit_seconds * 1000.0);
+  if (ms >= static_cast<double>(std::numeric_limits<uint32_t>::max())) {
+    return std::numeric_limits<uint32_t>::max();
+  }
+  return std::max<uint32_t>(1, static_cast<uint32_t>(ms));
+}
 
 // Parses an update stream: "u v raw_time" lines, '#' comments, blank lines
 // separate batches. Returns false (with a message) on malformed input.
@@ -286,8 +308,7 @@ int RunConnect(const std::string& target,
     std::fprintf(stderr, "connect: %s\n", client.status().ToString().c_str());
     return 1;
   }
-  const uint32_t deadline_ms =
-      limit_seconds > 0 ? static_cast<uint32_t>(limit_seconds * 1000) : 0;
+  const uint32_t deadline_ms = LimitToDeadlineMs(limit_seconds);
 
   int failures = 0;
   WallTimer timer;
@@ -355,6 +376,18 @@ int main(int argc, char** argv) {
   }
   const Flags& flags = *flags_or;
 
+  // An unknown --algo is a flag error, caught before the graph is built.
+  const std::string algo = flags.GetString("algo", "enum");
+  const std::optional<AlgorithmKind> parsed_kind = ParseAlgo(algo);
+  if (!parsed_kind.has_value()) {
+    std::fprintf(stderr,
+                 "--algo=%s: unknown algorithm; expected one of enum, "
+                 "enumbase, otcd, naive\n",
+                 algo.c_str());
+    return 2;
+  }
+  const AlgorithmKind kind = *parsed_kind;
+
   // --- Input graph. -----------------------------------------------------
   TemporalGraph graph;
   if (flags.Has("file")) {
@@ -412,11 +445,6 @@ int main(int argc, char** argv) {
               queries[0].range.end);
 
   // --- Serving engine. ----------------------------------------------------
-  std::string algo = flags.GetString("algo", "enum");
-  AlgorithmKind kind = algo == "otcd"       ? AlgorithmKind::kOtcd
-                       : algo == "enumbase" ? AlgorithmKind::kEnumBase
-                       : algo == "naive"    ? AlgorithmKind::kNaive
-                                            : AlgorithmKind::kEnum;
   const int threads = static_cast<int>(
       std::clamp<int64_t>(flags.GetInt("threads", DefaultNumThreads()), 1,
                           1024));

@@ -34,8 +34,9 @@
 ///    is submitted to the LiveQueryEngine's async verb (serve/submit.h);
 ///    the engine's pool executes its misses against the pinned snapshot.
 ///    The only serving work the loop does itself is the cache lookup Submit
-///    makes when the engine has no other batch in flight, which answers a
-///    batch the cache holds whole before Submit returns. Either way the
+///    makes when the live engine has no other batch in flight on any
+///    snapshot, which answers a batch the cache holds whole before Submit
+///    returns. Either way the
 ///    completion pushes the finished batch straight onto the loop's handoff
 ///    deque (self-pipe wakeup), and the loop streams the per-query verdict
 ///    frames back — in the same round, for a batch answered at submission.

@@ -4,8 +4,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "util/fault_injection.h"
-#include "util/mpsc_queue.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 #include "vct/vct_builder.h"
@@ -72,40 +70,6 @@ class QueryEngine::ArenaLease {
   std::unique_ptr<VctBuildArena> arena_;
 };
 
-/// One queued async submission: the batch, its deadline, and the
-/// exactly-once completion. The completion may own a pin on the engine's
-/// owner (LiveQueryEngine's does), which then lives exactly as long as the
-/// batch's tasks hold this batch. A batch Submit pre-scanned carries its
-/// hit outcomes and miss plan, so dispatch never looks a query up twice.
-struct QueryEngine::AsyncBatch {
-  BatchRequest request;
-  Completion done;
-  bool scanned = false;
-  std::vector<RunOutcome> outcomes{};
-  BatchPlan plan{};
-};
-
-/// Shared in-flight state of one dispatched batch: leader tasks write
-/// disjoint outcome slots and the last to finish finalizes.
-struct QueryEngine::AsyncBatchState {
-  AsyncBatch batch;
-  std::atomic<size_t> remaining{0};
-};
-
-/// Request queue + dispatcher occupancy + drain bookkeeping. `inflight`
-/// counts accepted-but-unfinished batches plus a ticket for the running
-/// dispatcher task, so DrainAsync returning guarantees no task still
-/// touches the engine.
-struct QueryEngine::AsyncState {
-  explicit AsyncState(size_t capacity) : queue(capacity) {}
-
-  BoundedMpscQueue<AsyncBatch> queue;
-  std::atomic<bool> dispatcher_scheduled{false};
-  Mutex mu;
-  CondVar drained;
-  uint64_t inflight TKC_GUARDED_BY(mu) = 0;
-};
-
 QueryEngine::QueryEngine(const TemporalGraph& g,
                          const QueryEngineOptions& options)
     : graph_(&g),
@@ -113,13 +77,9 @@ QueryEngine::QueryEngine(const TemporalGraph& g,
       pool_(options.pool != nullptr ? options.pool : &ThreadPool::Shared()),
       cache_(std::make_unique<StripedQueryCache>(options.cache_capacity)),
       arenas_(std::make_unique<ArenaPool>()),
-      stats_(std::make_unique<AtomicServeStats>()),
-      async_(std::make_unique<AsyncState>(options.async_queue_capacity)) {}
+      stats_(std::make_unique<AtomicServeStats>()) {}
 
-QueryEngine::~QueryEngine() {
-  // A moved-from or inert (StatusOr slot) engine has no async state.
-  if (async_ != nullptr) DrainAsync();
-}
+QueryEngine::~QueryEngine() = default;
 QueryEngine::QueryEngine(QueryEngine&&) noexcept = default;
 QueryEngine& QueryEngine::operator=(QueryEngine&&) noexcept = default;
 
@@ -270,206 +230,18 @@ void QueryEngine::SettleBatch(const BatchPlan& plan,
   if (copied > 0) Bump(stats_->batch_dedup_hits, copied);
 }
 
-// --- async submission ------------------------------------------------------
-
-void QueryEngine::SetLifetimeGuard(std::weak_ptr<const void> guard) {
-  lifetime_guard_ = std::move(guard);
-}
-
-void QueryEngine::CompleteAsyncBatch(AsyncBatch&& batch,
-                                     const Status& status) {
-  BatchResult result;
-  result.outcomes.resize(batch.request.queries.size());
-  for (RunOutcome& out : result.outcomes) out.status = status;
-  batch.done(std::move(result));
-  FinishInflight();
-}
-
-void QueryEngine::Submit(BatchRequest request, Completion done) {
-  const Deadline deadline = request.deadline;
-  AsyncBatch batch{std::move(request), std::move(done)};
-  bool idle = false;
-  {
-    AsyncState* async = async_.get();
-    MutexLock lock(async->mu);
-    idle = async->inflight == 0;
-    ++async->inflight;
-  }
-  Bump(stats_->async_batches);
-
-  // An already-dead batch is answered right here, before any cache lookup.
-  if (deadline.Expired()) {
-    Bump(stats_->deadlines_expired);
-    CompleteAsyncBatch(std::move(batch),
-                       Status::Timeout("deadline expired before submission"));
-    return;
-  }
-  // With nothing in flight, the batch is looked up on the calling thread:
-  // one the cache answers whole completes here, with no queue slot,
-  // dispatcher task or pool wake-up. Under load it queues unscanned, so
-  // dispatch stays FIFO, the shed contest sees the same batches it always
-  // did, and no plan goes stale while earlier batches fill the cache.
-  if (idle) {
-    ScanAsyncBatch(&batch);
-    if (batch.plan.leaders.empty()) {
-      FinalizeAsyncBatch(&batch);
-      return;
-    }
-  }
-
-  if (deadline.unlimited()) {
-    // The queue never closes while the engine lives, so Push cannot fail;
-    // it blocks while the queue is at capacity (producer backpressure).
-    async_->queue.Push(std::move(batch));
-    ScheduleDispatcher();
-    return;
-  }
-
-  // Deadline-carrying submissions never block: a full queue runs the
-  // eviction contest — the batch with the least remaining deadline (queued
-  // or incoming) is shed with ResourceExhausted so the submitter returns in
-  // bounded time.
-  AsyncBatch evicted;
-  const PushOutcome outcome = async_->queue.PushOrEvict(
-      &batch,
-      [](const AsyncBatch& a, const AsyncBatch& b) {
-        return a.request.deadline.ExpiresBefore(b.request.deadline);
-      },
-      &evicted);
-  switch (outcome) {
-    case PushOutcome::kPushed:
-      ScheduleDispatcher();
+void QueryEngine::CountAsync(AsyncEvent event) {
+  switch (event) {
+    case AsyncEvent::kSubmitted:
+      Bump(stats_->async_batches);
       break;
-    case PushOutcome::kPushedEvicted: {
+    case AsyncEvent::kShed:
       Bump(stats_->batches_shed);
-      CompleteAsyncBatch(std::move(evicted),
-                         Status::ResourceExhausted(
-                             "request queue full: evicted by a submission "
-                             "with more remaining deadline"));
-      ScheduleDispatcher();
       break;
-    }
-    case PushOutcome::kRejectedIncoming: {
-      Bump(stats_->batches_shed);
-      CompleteAsyncBatch(std::move(batch),
-                         Status::ResourceExhausted(
-                             "request queue full: least remaining deadline"));
-      break;
-    }
-    case PushOutcome::kClosed:
-      CompleteAsyncBatch(std::move(batch),
-                         Status::FailedPrecondition("engine shutting down"));
+    case AsyncEvent::kExpired:
+      Bump(stats_->deadlines_expired);
       break;
   }
-}
-
-void QueryEngine::ScheduleDispatcher() {
-  if (async_->dispatcher_scheduled.exchange(true)) return;
-  {
-    AsyncState* async = async_.get();
-    MutexLock lock(async->mu);
-    ++async->inflight;  // the dispatcher's own ticket
-  }
-  // The dispatcher pins the engine's owner for its whole run and releases
-  // its ticket before dropping the pin, so an owner whose last reference
-  // dies inside an engine task never waits on that task's own ticket.
-  //
-  // On a 1-thread pool the pool's Submit runs inline: the whole async path
-  // completes synchronously before QueryEngine::Submit returns, matching
-  // the engine's serial-degeneration contract.
-  std::shared_ptr<const void> pin = lifetime_guard_.lock();
-  pool_->Submit([this, pin] { DispatchAsyncBatches(); });
-}
-
-void QueryEngine::DispatchAsyncBatches() {
-  for (;;) {
-    AsyncBatch batch;
-    while (async_->queue.TryPop(&batch)) {
-      ProcessAsyncBatch(std::move(batch));
-    }
-    // Stand down, then re-check: a producer that pushed after the last
-    // TryPop but before the store either sees the flag still true (we
-    // reclaim below) or schedules a fresh dispatcher that owns the role.
-    async_->dispatcher_scheduled.store(false);
-    if (async_->queue.size() == 0 ||
-        async_->dispatcher_scheduled.exchange(true)) {
-      break;
-    }
-  }
-  FinishInflight();  // release the dispatcher ticket
-}
-
-void QueryEngine::ProcessAsyncBatch(AsyncBatch batch) {
-  // A batch whose deadline died in the queue is dropped here, before any
-  // execution: it would spend pool time on an answer the caller has already
-  // given up on.
-  if (batch.request.deadline.Expired()) {
-    Bump(stats_->deadlines_expired);
-    CompleteAsyncBatch(std::move(batch),
-                       Status::Timeout("deadline expired before dispatch"));
-    return;
-  }
-  if (!batch.scanned) ScanAsyncBatch(&batch);
-  if (batch.plan.leaders.empty()) {  // pure cache-hit (or empty) batch
-    FinalizeAsyncBatch(&batch);
-    return;
-  }
-  auto state = std::make_shared<AsyncBatchState>();
-  state->batch = std::move(batch);
-  // Each distinct miss becomes its own pool task: no worker blocks on a
-  // batch barrier, and leaders of different batches interleave freely. The
-  // last leader to finish finalizes — possibly while the dispatcher is
-  // already processing the next queued batch.
-  //
-  // Relaxed: this store happens-before every leader task via the pool's
-  // queue mutex; the cross-leader ordering lives in the acq_rel fetch_sub.
-  const size_t num_leaders = state->batch.plan.leaders.size();
-  state->remaining.store(num_leaders, std::memory_order_relaxed);
-  for (size_t g = 0; g < num_leaders; ++g) {
-    pool_->Submit([this, state, g] {
-      // A stalled worker (when the fault is armed): long enough to expire
-      // tight deadlines behind it, short enough to keep fault runs fast.
-      FaultStallIfArmed(kFaultDispatchSlowWorker, 20);
-      AsyncBatch& dispatched = state->batch;
-      const size_t i = dispatched.plan.leaders[g];
-      dispatched.outcomes[i] = ExecuteUncached(dispatched.request.queries[i],
-                                               dispatched.request.deadline);
-      if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        FinalizeAsyncBatch(&dispatched);
-      }
-    });
-  }
-}
-
-void QueryEngine::ScanAsyncBatch(AsyncBatch* batch) {
-  batch->outcomes.resize(batch->request.queries.size());
-  batch->plan = PreScanBatch(batch->request.queries, &batch->outcomes);
-  batch->scanned = true;
-}
-
-void QueryEngine::FinalizeAsyncBatch(AsyncBatch* batch) {
-  SettleBatch(batch->plan, &batch->outcomes);
-  BatchResult result;
-  result.outcomes = std::move(batch->outcomes);
-  batch->done(std::move(result));
-  FinishInflight();
-}
-
-void QueryEngine::FinishInflight() {
-  AsyncState* async = async_.get();
-  MutexLock lock(async->mu);
-  if (--async->inflight == 0) {
-    // Notify while still holding the mutex: a DrainAsync waiter may
-    // destroy the engine the instant it observes inflight == 0, and an
-    // unlocked notify would then touch a freed condition variable.
-    async->drained.NotifyAll();
-  }
-}
-
-void QueryEngine::DrainAsync() {
-  AsyncState* async = async_.get();
-  MutexLock lock(async->mu);
-  while (async->inflight != 0) async->drained.Wait(async->mu);
 }
 
 ServeStats QueryEngine::stats() const {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "serve/query_cache.h"
-#include "serve/submit.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -20,8 +19,12 @@
 /// time-range k-core queries, and fans them out over a ThreadPool. Every
 /// miss runs the paper's CoreTime+Enum (RunAlgorithm with
 /// AlgorithmKind::kEnum); the engine turns that per-call runner into a
-/// server-shaped subsystem with two verbs, ServeBatch and Submit
-/// (serve/submit.h states their threading contract once for every engine):
+/// server-shaped subsystem with one verb, the sync ServeBatch
+/// (serve/submit.h states the contract of both verbs once). The async verb
+/// lives one layer up, on LiveQueryEngine (serve/snapshot.h): its single
+/// request queue runs each batch's scan, misses and settlement on the
+/// engine of the snapshot the batch pinned, so every counter below still
+/// lands on that engine.
 ///
 ///  * **Sharding.** A batch's distinct misses shard dynamically across the
 ///    pool's workers; every query touches the graph read-only, so batches
@@ -83,11 +86,6 @@ struct QueryEngineOptions {
   /// workloads with empty-result queries.
   bool build_index = false;
 
-  /// Bound of the async request queue: at most this many batches wait for
-  /// dispatch (see the Submit contract in serve/submit.h for what a full
-  /// queue does to each kind of deadline).
-  size_t async_queue_capacity = 256;
-
   /// Serve the admission index from this prebuilt PHC index (typically
   /// LoadPhcIndex from vct/index_io.h) instead of building one at
   /// construction — the persist/load path that amortizes engine start-up.
@@ -106,9 +104,12 @@ struct ServeStats {
   uint64_t index_rejections = 0;  ///< answered empty from the admission index
   uint64_t batch_dedup_hits = 0;  ///< served as in-batch duplicates
   uint64_t executed = 0;          ///< ran the full algorithm
-  uint64_t async_batches = 0;     ///< batches that arrived via Submit
+  /// Batches that arrived via LiveQueryEngine::Submit pinned to this
+  /// engine's snapshot.
+  uint64_t async_batches = 0;
   /// Batches shed with ResourceExhausted by the full-queue eviction contest
-  /// (the evicted queued batch or the rejected incoming one, one per event).
+  /// (the evicted queued batch or the rejected incoming one, one per event),
+  /// counted on the shed batch's own engine.
   uint64_t batches_shed = 0;
   /// Submissions dropped whole with Timeout because their deadline had
   /// already expired (at submission, at dispatch, or at ServeBatch entry).
@@ -139,30 +140,6 @@ class QueryEngine {
   std::vector<RunOutcome> ServeBatch(const std::vector<Query>& queries,
                                      const Deadline& deadline = Deadline());
 
-  /// The async verb; see the threading contract in serve/submit.h. When no
-  /// other batch is in flight, the batch is looked up in the cache on the
-  /// calling thread: one the cache answers whole (or an empty one)
-  /// completes before Submit returns, and one with misses is queued with
-  /// its hits and plan so dispatch looks nothing up again. A batch arriving
-  /// while others are in flight queues unscanned, keeping dispatch FIFO and
-  /// the shed contest unchanged under load.
-  void Submit(BatchRequest request, Completion done);
-
-  /// Owner-installed keep-alive for the engine's internal async tasks.
-  /// Every dispatcher task locks this guard for its whole run, and batch
-  /// tasks hold their completion (which may own a pin, as LiveQueryEngine's
-  /// does); each task releases its drain ticket *before* dropping its pin.
-  /// Net effect: when the last pin disappears — possibly on a pool thread —
-  /// no ticket is outstanding, so the destructor's drain returns without
-  /// blocking and destroying an owner (e.g. a GraphSnapshot) from inside
-  /// one of this engine's own pool tasks cannot deadlock on itself. Must be
-  /// set before the first Submit; unset (plain engines), the caller simply
-  /// must not destroy the engine from inside one of its own tasks.
-  void SetLifetimeGuard(std::weak_ptr<const void> guard);
-
-  /// Blocks until every batch accepted by Submit has delivered.
-  void DrainAsync();
-
   /// Snapshot of the cumulative serving counters.
   ServeStats stats() const;
 
@@ -189,6 +166,9 @@ class QueryEngine {
  private:
   template <typename T>
   friend class StatusOr;  // needs the inert default state below
+  /// The async verb runs a pinned engine's pre-scan, misses and
+  /// settlement, and counts its submissions, sheds and expiries here.
+  friend class LiveQueryEngine;
 
   /// Inert engine (no graph, no pool) — only the empty slot inside a
   /// StatusOr before a real engine is moved in. Never served from.
@@ -224,21 +204,9 @@ class QueryEngine {
   /// its hits and its duplicates as served.
   void SettleBatch(const BatchPlan& plan, std::vector<RunOutcome>* outcomes);
 
-  // Async machinery (defined in query_engine.cc).
-  struct AsyncBatch;       ///< one queued submission
-  struct AsyncBatchState;  ///< one dispatched batch's shared in-flight state
-  struct AsyncState;       ///< queue + dispatcher + drain bookkeeping
-  void ScheduleDispatcher();
-  void DispatchAsyncBatches();
-  void ProcessAsyncBatch(AsyncBatch batch);
-  void ScanAsyncBatch(AsyncBatch* batch);
-  /// Settles a served batch: followers filled, the completion callback
-  /// runs, and the batch's inflight ticket is released.
-  void FinalizeAsyncBatch(AsyncBatch* batch);
-  void FinishInflight();
-  /// Settles a dropped batch: every outcome gets `status`, the completion
-  /// callback runs, and the batch's inflight ticket is released.
-  void CompleteAsyncBatch(AsyncBatch&& batch, const Status& status);
+  /// The async verb's events, counted on the pinned engine (ServeStats).
+  enum class AsyncEvent { kSubmitted, kShed, kExpired };
+  void CountAsync(AsyncEvent event);
 
   const TemporalGraph* graph_ = nullptr;
   QueryEngineOptions options_;
@@ -262,10 +230,6 @@ class QueryEngine {
   struct ArenaPool;
   std::unique_ptr<ArenaPool> arenas_;
   std::unique_ptr<AtomicServeStats> stats_;
-
-  /// Async submission state (request queue, dispatcher flag, drain cv).
-  std::unique_ptr<AsyncState> async_;
-  std::weak_ptr<const void> lifetime_guard_;
 };
 
 }  // namespace tkc

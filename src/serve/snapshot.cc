@@ -49,11 +49,6 @@ StatusOr<std::shared_ptr<GraphSnapshot>> GraphSnapshot::CreateImpl(
   auto engine = QueryEngine::Create(snapshot->graph_, options);
   if (!engine.ok()) return engine.status();
   snapshot->engine_.emplace(std::move(engine).value());
-  // The engine's internal async tasks pin this snapshot while they run, so
-  // dropping the last external pin inside one of those tasks destroys the
-  // snapshot without the engine's drain waiting on the running task.
-  snapshot->engine_->SetLifetimeGuard(
-      std::weak_ptr<const void>(std::shared_ptr<const void>(snapshot)));
   return snapshot;
 }
 
@@ -135,7 +130,10 @@ StatusOr<std::unique_ptr<LiveQueryEngine>> LiveQueryEngine::Create(
 
 LiveQueryEngine::LiveQueryEngine(std::shared_ptr<const GraphSnapshot> initial,
                                  const LiveEngineOptions& options)
-    : update_queue_(options.update_queue_capacity),
+    : pool_(options.engine.pool != nullptr ? options.engine.pool
+                                           : &ThreadPool::Shared()),
+      batch_queue_(options.async_queue_capacity),
+      update_queue_(options.update_queue_capacity),
       updater_([this] { UpdaterLoop(); }) {
   // A preloaded admission index describes exactly one graph — the initial
   // one. Rebuilt snapshots must build their own fresh index (the preloaded
@@ -150,21 +148,16 @@ LiveQueryEngine::LiveQueryEngine(std::shared_ptr<const GraphSnapshot> initial,
   // De-contention: rebuilds fan out over a pool that shares no worker with
   // the serving pool, so a swap in progress costs queries nothing but
   // memory bandwidth.
-  const ThreadPool* serve_pool = options.engine.pool != nullptr
-                                     ? options.engine.pool
-                                     : &ThreadPool::Shared();
-  size_t threads = static_cast<size_t>(serve_pool->num_threads());
+  size_t threads = static_cast<size_t>(pool_->num_threads());
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw > 0 && threads > hw) threads = hw;
   update_pool_ = std::make_unique<ThreadPool>(static_cast<int>(threads));
   jitter_stream_ = SplitMix64(kRetryJitterSeed);
   // The updater thread is already running (started in the init list); no
   // batch can reach it before Create returns, but take the guard anyway so
-  // the "current_ and all_snapshots_ under snapshots_mu_" invariant has no
-  // carve-out.
+  // the "current_ under snapshots_mu_" invariant has no carve-out.
   MutexLock lock(snapshots_mu_);
-  current_ = initial;
-  all_snapshots_.push_back(std::move(initial));
+  current_ = std::move(initial);
 }
 
 void LiveQueryEngine::Shutdown() {
@@ -192,32 +185,6 @@ void LiveQueryEngine::Shutdown() {
   DrainAsync();
 }
 
-void LiveQueryEngine::DrainAsync() {
-  // Drain every snapshot that still exists, not just the current one: a
-  // batch pinned to an older version may still be delivering (e.g. into a
-  // server's handoff deque), and the caller must be able to destroy that
-  // target right after this returns. An expired weak_ptr means every
-  // pin is gone, which implies that snapshot has nothing in flight. The
-  // list is copied (and pruned), not cleared, so the call is repeatable —
-  // the destructor drains again after Shutdown already did.
-  std::vector<std::weak_ptr<const GraphSnapshot>> snapshots;
-  {
-    MutexLock lock(snapshots_mu_);
-    all_snapshots_.erase(
-        std::remove_if(all_snapshots_.begin(), all_snapshots_.end(),
-                       [](const std::weak_ptr<const GraphSnapshot>& w) {
-                         return w.expired();
-                       }),
-        all_snapshots_.end());
-    snapshots = all_snapshots_;
-  }
-  for (const auto& weak : snapshots) {
-    if (std::shared_ptr<const GraphSnapshot> alive = weak.lock()) {
-      alive->engine().DrainAsync();
-    }
-  }
-}
-
 LiveQueryEngine::~LiveQueryEngine() {
   Shutdown();  // updater joined + async serving path drained (DrainAsync)
 }
@@ -234,21 +201,6 @@ BatchResult LiveQueryEngine::ServeBatch(const std::vector<Query>& queries,
   result.outcomes = pin->engine().ServeBatch(queries, deadline);
   result.snapshot_version = pin->version();
   return result;
-}
-
-void LiveQueryEngine::Submit(BatchRequest request, Completion done) {
-  std::shared_ptr<const GraphSnapshot> pin = snapshot();
-  // The completion owns a pin: the snapshot (graph, engine, index) cannot
-  // die before the batch's tasks are done with it, no matter how many swaps
-  // happen in between. Dropped batches (Timeout/ResourceExhausted) settle
-  // through the same completion, so they too carry the pinned version. The
-  // local pin keeps the engine alive across its own Submit call even when
-  // the batch settles inline.
-  pin->engine().Submit(std::move(request),
-                       [pin, done = std::move(done)](BatchResult&& result) {
-                         result.snapshot_version = pin->version();
-                         done(std::move(result));
-                       });
 }
 
 std::future<Status> LiveQueryEngine::ApplyUpdates(
@@ -354,18 +306,8 @@ void LiveQueryEngine::UpdaterLoop() {
         // The swap is one assignment under the pin mutex: queries pin
         // before or after, never mid-swap (no torn reads). `base` still
         // holds the old snapshot, so no destructor runs under the lock.
-        // The new version is tracked for destructor-time draining; expired
-        // entries (snapshots whose last pin is gone) are pruned here so
-        // the list stays proportional to snapshots actually alive.
         MutexLock lock(snapshots_mu_);
         current_ = next;
-        all_snapshots_.erase(
-            std::remove_if(all_snapshots_.begin(), all_snapshots_.end(),
-                           [](const std::weak_ptr<const GraphSnapshot>& w) {
-                             return w.expired();
-                           }),
-            all_snapshots_.end());
-        all_snapshots_.push_back(next);
       }
       swap_seconds = swap_timer.ElapsedSeconds();
     }
@@ -400,6 +342,10 @@ void LiveQueryEngine::UpdaterLoop() {
         stats_.failed_updates += group.size();
       }
     }
+    // Unpin before resolving: once a caller sees its update land, the
+    // superseded snapshot is owned only by callers and pinned batches.
+    base.reset();
+    next.reset();
     for (UpdateRequest& r : group) r.done->set_value(status);
     group.clear();
     request = UpdateRequest();  // release the edges/promise promptly
@@ -499,6 +445,206 @@ HealthState LiveQueryEngine::health() const {
 LiveStats LiveQueryEngine::stats() const {
   MutexLock lock(stats_mu_);
   return stats_;
+}
+
+// --- the async verb ----------------------------------------------------------
+
+/// Shared in-flight state of one dispatched batch: leader tasks write
+/// disjoint outcome slots and the last to finish finalizes.
+struct LiveQueryEngine::DispatchedBatch {
+  AsyncBatch batch;
+  std::atomic<size_t> remaining{0};
+};
+
+void LiveQueryEngine::Submit(BatchRequest request, Completion done) {
+  const Deadline deadline = request.deadline;
+  AsyncBatch batch{snapshot(), std::move(request), std::move(done)};
+  bool idle = false;
+  {
+    MutexLock lock(inflight_mu_);
+    idle = inflight_ == 0;
+    ++inflight_;
+  }
+  batch.pin->engine().CountAsync(QueryEngine::AsyncEvent::kSubmitted);
+
+  // An already-dead batch is answered right here, before any cache lookup.
+  if (deadline.Expired()) {
+    batch.pin->engine().CountAsync(QueryEngine::AsyncEvent::kExpired);
+    DropBatch(std::move(batch),
+              Status::Timeout("deadline expired before submission"));
+    return;
+  }
+  // With nothing in flight on any snapshot, the batch is looked up on the
+  // calling thread: one the cache answers whole completes here, with no
+  // queue slot, dispatcher task or pool wake-up. Under load it queues
+  // unscanned, so dispatch stays FIFO, the shed contest sees the same
+  // batches it always did, and no plan goes stale while earlier batches
+  // fill the cache.
+  if (idle) {
+    ScanBatch(&batch);
+    if (batch.plan.leaders.empty()) {
+      FinalizeBatch(std::move(batch));
+      return;
+    }
+  }
+
+  if (deadline.unlimited()) {
+    // The queue never closes while the engine lives, so Push cannot fail;
+    // it blocks while the queue is at capacity (producer backpressure).
+    batch_queue_.Push(std::move(batch));
+    ScheduleDispatcher();
+    return;
+  }
+
+  // Deadline-carrying submissions never block: a full queue runs the
+  // eviction contest — the batch with the least remaining deadline (queued
+  // or incoming, whichever snapshot it pinned) is shed with
+  // ResourceExhausted so the submitter returns in bounded time. A shed
+  // batch counts on its own pinned engine.
+  AsyncBatch evicted;
+  const PushOutcome outcome = batch_queue_.PushOrEvict(
+      &batch,
+      [](const AsyncBatch& a, const AsyncBatch& b) {
+        return a.request.deadline.ExpiresBefore(b.request.deadline);
+      },
+      &evicted);
+  switch (outcome) {
+    case PushOutcome::kPushed:
+      ScheduleDispatcher();
+      break;
+    case PushOutcome::kPushedEvicted:
+      evicted.pin->engine().CountAsync(QueryEngine::AsyncEvent::kShed);
+      DropBatch(std::move(evicted),
+                Status::ResourceExhausted(
+                    "request queue full: evicted by a submission with more "
+                    "remaining deadline"));
+      ScheduleDispatcher();
+      break;
+    case PushOutcome::kRejectedIncoming:
+      batch.pin->engine().CountAsync(QueryEngine::AsyncEvent::kShed);
+      DropBatch(std::move(batch),
+                Status::ResourceExhausted(
+                    "request queue full: least remaining deadline"));
+      break;
+    case PushOutcome::kClosed:
+      DropBatch(std::move(batch),
+                Status::FailedPrecondition("engine shutting down"));
+      break;
+  }
+}
+
+void LiveQueryEngine::ScheduleDispatcher() {
+  if (dispatcher_scheduled_.exchange(true)) return;
+  {
+    MutexLock lock(inflight_mu_);
+    ++inflight_;  // the dispatcher's own ticket
+  }
+  // On a 1-thread pool the pool's Submit runs inline: the whole async path
+  // completes synchronously before LiveQueryEngine::Submit returns,
+  // matching the engine's serial-degeneration contract.
+  pool_->Submit([this] { DispatchBatches(); });
+}
+
+void LiveQueryEngine::DispatchBatches() {
+  for (;;) {
+    AsyncBatch batch;
+    while (batch_queue_.TryPop(&batch)) ProcessBatch(std::move(batch));
+    // Stand down, then re-check: a producer that pushed after the last
+    // TryPop but before the store either sees the flag still true (we
+    // reclaim below) or schedules a fresh dispatcher that owns the role.
+    dispatcher_scheduled_.store(false);
+    if (batch_queue_.size() == 0 || dispatcher_scheduled_.exchange(true)) {
+      break;
+    }
+  }
+  FinishInflight();  // release the dispatcher ticket
+}
+
+void LiveQueryEngine::ProcessBatch(AsyncBatch batch) {
+  // A batch whose deadline died in the queue is dropped here, before any
+  // execution: it would spend pool time on an answer the caller has already
+  // given up on.
+  if (batch.request.deadline.Expired()) {
+    batch.pin->engine().CountAsync(QueryEngine::AsyncEvent::kExpired);
+    DropBatch(std::move(batch),
+              Status::Timeout("deadline expired before dispatch"));
+    return;
+  }
+  if (!batch.scanned) ScanBatch(&batch);
+  if (batch.plan.leaders.empty()) {  // pure cache-hit (or empty) batch
+    FinalizeBatch(std::move(batch));
+    return;
+  }
+  auto state = std::make_shared<DispatchedBatch>();
+  state->batch = std::move(batch);
+  // Each distinct miss becomes its own pool task: no worker blocks on a
+  // batch barrier, and leaders of different batches interleave freely. The
+  // last leader to finish finalizes — possibly while the dispatcher is
+  // already processing the next queued batch.
+  //
+  // Relaxed: this store happens-before every leader task via the pool's
+  // queue mutex; the cross-leader ordering lives in the acq_rel fetch_sub.
+  const size_t num_leaders = state->batch.plan.leaders.size();
+  state->remaining.store(num_leaders, std::memory_order_relaxed);
+  for (size_t g = 0; g < num_leaders; ++g) {
+    pool_->Submit([this, state, g] {
+      // A stalled worker (when the fault is armed): long enough to expire
+      // tight deadlines behind it, short enough to keep fault runs fast.
+      FaultStallIfArmed(kFaultDispatchSlowWorker, 20);
+      AsyncBatch& dispatched = state->batch;
+      const size_t i = dispatched.plan.leaders[g];
+      dispatched.outcomes[i] = dispatched.pin->engine().ExecuteUncached(
+          dispatched.request.queries[i], dispatched.request.deadline);
+      if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        FinalizeBatch(std::move(dispatched));
+      }
+    });
+  }
+}
+
+void LiveQueryEngine::ScanBatch(AsyncBatch* batch) {
+  batch->outcomes.resize(batch->request.queries.size());
+  batch->plan = batch->pin->engine().PreScanBatch(batch->request.queries,
+                                                  &batch->outcomes);
+  batch->scanned = true;
+}
+
+void LiveQueryEngine::FinalizeBatch(AsyncBatch&& batch) {
+  batch.pin->engine().SettleBatch(batch.plan, &batch.outcomes);
+  Deliver(std::move(batch));
+}
+
+void LiveQueryEngine::DropBatch(AsyncBatch&& batch, const Status& status) {
+  batch.outcomes.assign(batch.request.queries.size(), RunOutcome{});
+  for (RunOutcome& out : batch.outcomes) out.status = status;
+  Deliver(std::move(batch));
+}
+
+void LiveQueryEngine::Deliver(AsyncBatch&& batch) {
+  {
+    AsyncBatch owned = std::move(batch);
+    owned.done(BatchResult{std::move(owned.outcomes), owned.pin->version()});
+  }
+  // The batch, its pin and its completion are gone before the ticket is
+  // released: a snapshot whose last pin this was has been destroyed right
+  // here — on a pool worker, typically — and once DrainAsync sees zero no
+  // batch still owns a snapshot or touches this engine.
+  FinishInflight();
+}
+
+void LiveQueryEngine::FinishInflight() {
+  MutexLock lock(inflight_mu_);
+  if (--inflight_ == 0) {
+    // Notify while still holding the mutex: a DrainAsync waiter may
+    // destroy the engine the instant it observes inflight_ == 0, and an
+    // unlocked notify would then touch a freed condition variable.
+    drained_.NotifyAll();
+  }
+}
+
+void LiveQueryEngine::DrainAsync() {
+  MutexLock lock(inflight_mu_);
+  while (inflight_ != 0) drained_.Wait(inflight_mu_);
 }
 
 }  // namespace tkc

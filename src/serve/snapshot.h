@@ -1,6 +1,7 @@
 #ifndef TKC_SERVE_SNAPSHOT_H_
 #define TKC_SERVE_SNAPSHOT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -10,6 +11,7 @@
 
 #include "graph/temporal_graph.h"
 #include "serve/query_engine.h"
+#include "serve/submit.h"
 #include "util/mpsc_queue.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -32,12 +34,19 @@
 ///    batch's result is delivered. All queries of one batch therefore
 ///    answer against exactly one graph version, even if any number of
 ///    swaps land while the batch is in flight.
+///  * The async verb has one request queue per LiveQueryEngine, not one per
+///    snapshot: a queued batch carries its own pin and runs its pre-scan,
+///    misses and settlement on that snapshot's engine. The queue bound,
+///    FIFO dispatch and the shed contest therefore hold across swaps, and
+///    "no other batch in flight" (serve/submit.h) means on any snapshot.
 ///  * ApplyUpdates never blocks serving: a dedicated updater thread builds
 ///    the successor snapshot off to the side — its index rebuild fanned
 ///    over a dedicated update pool, never the serving pool — and then
 ///    publishes it with one shared_ptr assignment under a mutex; pinning
 ///    the current snapshot is a refcount bump under the same mutex. Old
-///    snapshots die when their last pinned batch completes.
+///    snapshots die when their last pinned batch completes — on whatever
+///    thread drops that pin, a pool worker included: a snapshot's engine
+///    owns no async tasks, so its destruction waits on nothing.
 ///  * Update batches are applied strictly FIFO (a bounded MPSC queue feeds
 ///    the updater thread). Under swap pressure the updater *coalesces*:
 ///    each rebuild cycle drains every batch queued at that moment, applies
@@ -189,9 +198,15 @@ class GraphSnapshot {
 
 /// Configuration of a LiveQueryEngine.
 struct LiveEngineOptions {
-  /// Per-snapshot engine configuration (pool, cache, admission index, async
-  /// queue bound). Applied to every rebuilt snapshot.
+  /// Per-snapshot engine configuration (pool, cache, admission index).
+  /// Applied to every rebuilt snapshot; engine.pool also runs the async
+  /// verb's dispatcher and misses.
   QueryEngineOptions engine;
+
+  /// Bound of the async request queue: at most this many batches wait for
+  /// dispatch, whichever snapshots they pinned (see the Submit contract in
+  /// serve/submit.h for what a full queue does to each kind of deadline).
+  size_t async_queue_capacity = 256;
 
   /// Bound of the update queue: at most this many ApplyUpdates batches
   /// wait for the updater thread; further calls block (backpressure).
@@ -236,10 +251,8 @@ class LiveQueryEngine {
   /// Runs Shutdown() (see below — in particular, destroying an engine
   /// whose pause gate is still held *releases* queued batches with
   /// FailedPrecondition rather than silently applying them or hanging the
-  /// updater), then drains every live snapshot's async batches. Batches
-  /// pinned to older snapshots may still be completing; their pins keep
-  /// those snapshots (and their engines) alive independently of this
-  /// object.
+  /// updater), which also drains every accepted async batch. Snapshots
+  /// pinned by callers outlive this object.
   ~LiveQueryEngine();
 
   LiveQueryEngine(const LiveQueryEngine&) = delete;
@@ -260,10 +273,17 @@ class LiveQueryEngine {
                          const Deadline& deadline = Deadline());
 
   /// The async verb (serve/submit.h) against the snapshot current at
-  /// submission. The completion owns the pin, so the snapshot outlives the
-  /// batch however many swaps land meanwhile; every result — dropped
-  /// batches included — carries the pinned version.
-  void Submit(BatchRequest request, Completion done);
+  /// submission. The queued batch owns the pin, so the snapshot outlives
+  /// the batch however many swaps land meanwhile; every result — dropped
+  /// batches included — carries the pinned version. When no other batch is
+  /// in flight (on any snapshot), the batch is looked up in the cache on
+  /// the calling thread: one the cache answers whole (or an empty one)
+  /// completes before Submit returns, and one with misses is queued with
+  /// its hits and plan so dispatch looks nothing up again. A batch arriving
+  /// while others are in flight queues unscanned, keeping dispatch FIFO and
+  /// the shed contest unchanged under load.
+  void Submit(BatchRequest request, Completion done)
+      TKC_EXCLUDES(inflight_mu_, snapshots_mu_);
 
   /// Enqueues one batch of edges for ingestion. Returns immediately with a
   /// future that resolves once a snapshot containing this batch has been
@@ -298,15 +318,15 @@ class LiveQueryEngine {
   /// is still running.
   /// Serving (ServeBatch / Submit / snapshot) stays available.
   /// Idempotent; the destructor calls it first.
-  void Shutdown() TKC_EXCLUDES(pause_mu_, shutdown_mu_);
+  void Shutdown() TKC_EXCLUDES(pause_mu_, shutdown_mu_, inflight_mu_);
 
-  /// Blocks until every async batch accepted so far — against the current
-  /// snapshot *or any superseded one that is still alive* — has run its
-  /// completion to the end. The contract a server's teardown needs: after
-  /// DrainAsync, destroying whatever the completions delivered into cannot
-  /// race a delivery. Does not block new submissions; callers wanting a
-  /// true quiesce stop submitting first. Idempotent, callable repeatedly.
-  void DrainAsync() TKC_EXCLUDES(snapshots_mu_);
+  /// Blocks until every async batch accepted so far, whichever snapshot it
+  /// pinned, has run its completion to the end and dropped its pin. The
+  /// contract a server's teardown needs: after DrainAsync, destroying
+  /// whatever the completions delivered into cannot race a delivery. Does
+  /// not block new submissions; callers wanting a true quiesce stop
+  /// submitting first. Idempotent, callable repeatedly.
+  void DrainAsync() TKC_EXCLUDES(inflight_mu_);
 
   LiveStats stats() const TKC_EXCLUDES(stats_mu_);
 
@@ -341,6 +361,35 @@ class LiveQueryEngine {
 
   void SetHealth(HealthState state) TKC_EXCLUDES(stats_mu_);
 
+  /// One queued async submission: the pin on the snapshot current at
+  /// Submit, the batch, and its exactly-once completion. A batch Submit
+  /// pre-scanned on the pinned engine carries its hit outcomes and miss
+  /// plan, so dispatch never looks a query up twice.
+  struct AsyncBatch {
+    std::shared_ptr<const GraphSnapshot> pin;
+    BatchRequest request;
+    Completion done;
+    bool scanned = false;
+    std::vector<RunOutcome> outcomes{};
+    QueryEngine::BatchPlan plan{};
+  };
+  /// Shared in-flight state of one dispatched batch (snapshot.cc).
+  struct DispatchedBatch;
+
+  void ScheduleDispatcher() TKC_EXCLUDES(inflight_mu_);
+  void DispatchBatches() TKC_EXCLUDES(inflight_mu_);
+  void ProcessBatch(AsyncBatch batch) TKC_EXCLUDES(inflight_mu_);
+  static void ScanBatch(AsyncBatch* batch);
+  /// Settles a served batch: followers filled, counted as served.
+  void FinalizeBatch(AsyncBatch&& batch) TKC_EXCLUDES(inflight_mu_);
+  /// Settles a dropped batch: every outcome gets `status`.
+  void DropBatch(AsyncBatch&& batch, const Status& status)
+      TKC_EXCLUDES(inflight_mu_);
+  /// Runs the completion on the batch's outcomes, drops the batch (its pin
+  /// included), and only then releases the batch's inflight ticket.
+  void Deliver(AsyncBatch&& batch) TKC_EXCLUDES(inflight_mu_);
+  void FinishInflight() TKC_EXCLUDES(inflight_mu_);
+
   /// LiveEngineOptions::engine minus preloaded_index: a preloaded admission
   /// index matches only the initial graph, so rebuilt snapshots always
   /// build their own (still building one when preloading asked for one —
@@ -348,20 +397,27 @@ class LiveQueryEngine {
   /// an index to rebuild from).
   QueryEngineOptions rebuild_engine_options_;
 
-  /// Guards the current snapshot and the list of live ones. A pin holds it
-  /// for one refcount bump, the updater's swap for one assignment plus the
-  /// list's pruning; DrainAsync copies the list under it. Deliberately not
+  /// Guards the current snapshot. A pin holds it for one refcount bump,
+  /// the updater's swap for one assignment. Deliberately not
   /// std::atomic<std::shared_ptr>: libstdc++ 12's load releases its
   /// internal lock bit with relaxed ordering, a data race against the
   /// publishing store that TSan reports.
   mutable Mutex snapshots_mu_;
   std::shared_ptr<const GraphSnapshot> current_ TKC_GUARDED_BY(snapshots_mu_);
-  /// Every version ever swapped in that may still be alive, so the
-  /// destructor can drain batches pinned to superseded snapshots (their
-  /// completions must finish before the caller tears down what they
-  /// deliver into). Expired entries are pruned on each swap.
-  std::vector<std::weak_ptr<const GraphSnapshot>> all_snapshots_
-      TKC_GUARDED_BY(snapshots_mu_);
+
+  /// The serving pool (options.engine.pool, or the shared one): every
+  /// snapshot's engine runs on it, and so do the dispatcher and the misses
+  /// of async batches.
+  ThreadPool* pool_;
+  /// The async verb's one request queue, whichever snapshots its batches
+  /// pinned, and its dispatcher's occupancy flag.
+  BoundedMpscQueue<AsyncBatch> batch_queue_;
+  std::atomic<bool> dispatcher_scheduled_{false};
+  /// Accepted-but-unsettled async batches plus one ticket for a running
+  /// dispatcher task; DrainAsync waits for zero.
+  Mutex inflight_mu_;
+  CondVar drained_;
+  uint64_t inflight_ TKC_GUARDED_BY(inflight_mu_) = 0;
 
   /// Pool the updater's index builds fan out over (passed to
   /// GraphSnapshot::CreateSuccessor). Deliberately NOT the serving pool: a

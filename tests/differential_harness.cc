@@ -182,7 +182,7 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
   (void)rng.NextBool(0.3);
   (void)rng.NextBool(0.25);
   options.engine.cache_capacity = rng.NextBool(0.25) ? 0 : 64;
-  options.engine.async_queue_capacity = 4;  // small: exercise backpressure
+  options.async_queue_capacity = 4;  // small: exercise backpressure
   options.update_queue_capacity = 4;
   // Incremental mode exists to validate the delta-aware index maintenance,
   // so there must be an index to maintain.

@@ -7,12 +7,14 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "datasets/generators.h"
 #include "graph/graph_stats.h"
 #include "graph/window_peeler.h"
+#include "serve/snapshot.h"
 #include "util/thread_pool.h"
 
 namespace tkc {
@@ -311,119 +313,6 @@ TEST(QueryEngineIndexTest, CappedIndexNeverRejectsAboveCap) {
   EXPECT_EQ(engine->stats().index_rejections, 0u);
 }
 
-TEST(QueryEngineAsyncTest, SubmitMatchesServeBatch) {
-  TemporalGraph g = ServeGraph();
-  GraphStats stats = ComputeGraphStats(g);
-  std::vector<Query> queries = MixedQueries(g, stats.kmax);
-  for (int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    QueryEngineOptions options;
-    options.pool = &pool;
-    auto engine = QueryEngine::Create(g, options);
-    ASSERT_TRUE(engine.ok());
-    std::vector<RunOutcome> sync = engine->ServeBatch(queries);
-    engine->ClearCache();  // async run must execute, not replay
-    std::future<BatchResult> future = SubmitFuture(*engine, {queries});
-    BatchResult async = future.get();
-    ASSERT_EQ(async.outcomes.size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ExpectSameResults(sync[i], async.outcomes[i], "async");
-    }
-    EXPECT_EQ(engine->stats().async_batches, 1u);
-  }
-}
-
-TEST(QueryEngineAsyncTest, ManyOverlappingSubmissionsAllComplete) {
-  TemporalGraph g = ServeGraph();
-  GraphStats stats = ComputeGraphStats(g);
-  std::vector<Query> queries = MixedQueries(g, stats.kmax);
-  ThreadPool pool(4);
-  QueryEngineOptions options;
-  options.pool = &pool;
-  options.async_queue_capacity = 2;  // tiny bound: forces backpressure
-  auto engine = QueryEngine::Create(g, options);
-  ASSERT_TRUE(engine.ok());
-  std::vector<RunOutcome> reference = engine->ServeBatch(queries);
-  std::vector<std::future<BatchResult>> futures;
-  for (int b = 0; b < 16; ++b) {
-    futures.push_back(SubmitFuture(*engine, {queries}));
-  }
-  for (std::future<BatchResult>& f : futures) {
-    BatchResult result = f.get();
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ExpectSameResults(reference[i], result.outcomes[i], "overlapping");
-    }
-  }
-  EXPECT_EQ(engine->stats().async_batches, 16u);
-}
-
-TEST(QueryEngineAsyncTest, CompletionCallbacksRunOncePerBatch) {
-  TemporalGraph g = ServeGraph();
-  GraphStats stats = ComputeGraphStats(g);
-  std::vector<Query> queries = MixedQueries(g, stats.kmax);
-  ThreadPool pool(4);
-  QueryEngineOptions options;
-  options.pool = &pool;
-  auto engine = QueryEngine::Create(g, options);
-  ASSERT_TRUE(engine.ok());
-  std::vector<RunOutcome> reference = engine->ServeBatch(queries);
-  engine->ClearCache();  // the batches must execute, not replay
-  // Many in-flight batches multiplexed through plain callbacks: each
-  // completion writes only its own slot, so no lock is needed until the
-  // drain below orders every write before the reads.
-  constexpr size_t kBatches = 6;
-  std::vector<BatchResult> results(kBatches);
-  std::vector<std::atomic<int>> calls(kBatches);
-  for (size_t b = 0; b < kBatches; ++b) {
-    engine->Submit({queries}, [&results, &calls, b](BatchResult&& result) {
-      results[b] = std::move(result);
-      calls[b].fetch_add(1);
-    });
-  }
-  engine->DrainAsync();
-  for (size_t b = 0; b < kBatches; ++b) {
-    EXPECT_EQ(calls[b].load(), 1) << "batch " << b;
-    ASSERT_EQ(results[b].outcomes.size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ExpectSameResults(reference[i], results[b].outcomes[i], "callback");
-    }
-  }
-}
-
-TEST(QueryEngineAsyncTest, EmptyBatchCompletesImmediately) {
-  TemporalGraph g = ServeGraph();
-  auto engine = QueryEngine::Create(g);
-  ASSERT_TRUE(engine.ok());
-  BatchResult result = SubmitFuture(*engine, {}).get();
-  EXPECT_TRUE(result.outcomes.empty());
-}
-
-TEST(QueryEngineAsyncTest, DestructorDrainsInFlightBatches) {
-  TemporalGraph g = ServeGraph();
-  GraphStats stats = ComputeGraphStats(g);
-  std::vector<Query> queries = MixedQueries(g, stats.kmax);
-  ThreadPool pool(4);
-  std::vector<std::future<BatchResult>> futures;
-  {
-    QueryEngineOptions options;
-    options.pool = &pool;
-    auto engine = QueryEngine::Create(g, options);
-    ASSERT_TRUE(engine.ok());
-    for (int b = 0; b < 8; ++b) {
-      futures.push_back(SubmitFuture(*engine, {queries}));
-    }
-    // The engine leaves scope with batches in flight: its destructor must
-    // block until every future is fulfillable.
-  }
-  for (std::future<BatchResult>& f : futures) {
-    BatchResult result = f.get();
-    EXPECT_EQ(result.outcomes.size(), queries.size());
-    for (const RunOutcome& out : result.outcomes) {
-      (void)out;  // fulfilled — that is the assertion
-    }
-  }
-}
-
 // --- robustness: deadlines and shedding -------------------------------------
 
 TEST(QueryEngineDeadlineTest, ExpiredDeadlineTimesOutWithoutTouchingIndex) {
@@ -478,17 +367,141 @@ TEST(QueryEngineDeadlineTest, ServeBatchWithExpiredDeadlineAllTimeout) {
   EXPECT_EQ(engine->stats().deadlines_expired, 1u);
 }
 
-TEST(QueryEngineDeadlineTest, SubmitExpiredDeadlineSettlesWithTimeout) {
+// --- the async verb, on LiveQueryEngine -------------------------------------
+//
+// Submit lives on the live engine, whose one request queue runs each batch
+// on the engine of the snapshot it pinned. `engine` below is that engine
+// (version 0; these tests apply no update unless they say so), so every
+// counter assertion reads where the batch was served.
+
+TEST(LiveEngineAsyncTest, SubmitMatchesServeBatch) {
+  TemporalGraph g = ServeGraph();
+  GraphStats stats = ComputeGraphStats(g);
+  std::vector<Query> queries = MixedQueries(g, stats.kmax);
+  for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    LiveEngineOptions options;
+    options.engine.pool = &pool;
+    auto live = LiveQueryEngine::Create(g, options);
+    ASSERT_TRUE(live.ok());
+    QueryEngine* engine = &(*live)->snapshot()->engine();
+    std::vector<RunOutcome> sync = engine->ServeBatch(queries);
+    engine->ClearCache();  // async run must execute, not replay
+    std::future<BatchResult> future = SubmitFuture(**live, {queries});
+    BatchResult async = future.get();
+    ASSERT_EQ(async.outcomes.size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ExpectSameResults(sync[i], async.outcomes[i], "async");
+    }
+    EXPECT_EQ(engine->stats().async_batches, 1u);
+  }
+}
+
+TEST(LiveEngineAsyncTest, ManyOverlappingSubmissionsAllComplete) {
+  TemporalGraph g = ServeGraph();
+  GraphStats stats = ComputeGraphStats(g);
+  std::vector<Query> queries = MixedQueries(g, stats.kmax);
+  ThreadPool pool(4);
+  LiveEngineOptions options;
+  options.engine.pool = &pool;
+  options.async_queue_capacity = 2;  // tiny bound: forces backpressure
+  auto live = LiveQueryEngine::Create(g, options);
+  ASSERT_TRUE(live.ok());
+  QueryEngine* engine = &(*live)->snapshot()->engine();
+  std::vector<RunOutcome> reference = engine->ServeBatch(queries);
+  std::vector<std::future<BatchResult>> futures;
+  for (int b = 0; b < 16; ++b) {
+    futures.push_back(SubmitFuture(**live, {queries}));
+  }
+  for (std::future<BatchResult>& f : futures) {
+    BatchResult result = f.get();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ExpectSameResults(reference[i], result.outcomes[i], "overlapping");
+    }
+  }
+  EXPECT_EQ(engine->stats().async_batches, 16u);
+}
+
+TEST(LiveEngineAsyncTest, CompletionCallbacksRunOncePerBatch) {
+  TemporalGraph g = ServeGraph();
+  GraphStats stats = ComputeGraphStats(g);
+  std::vector<Query> queries = MixedQueries(g, stats.kmax);
+  ThreadPool pool(4);
+  LiveEngineOptions options;
+  options.engine.pool = &pool;
+  auto live = LiveQueryEngine::Create(g, options);
+  ASSERT_TRUE(live.ok());
+  QueryEngine* engine = &(*live)->snapshot()->engine();
+  std::vector<RunOutcome> reference = engine->ServeBatch(queries);
+  engine->ClearCache();  // the batches must execute, not replay
+  // Many in-flight batches multiplexed through plain callbacks: each
+  // completion writes only its own slot, so no lock is needed until the
+  // drain below orders every write before the reads.
+  constexpr size_t kBatches = 6;
+  std::vector<BatchResult> results(kBatches);
+  std::vector<std::atomic<int>> calls(kBatches);
+  for (size_t b = 0; b < kBatches; ++b) {
+    (*live)->Submit({queries}, [&results, &calls, b](BatchResult&& result) {
+      results[b] = std::move(result);
+      calls[b].fetch_add(1);
+    });
+  }
+  (*live)->DrainAsync();
+  for (size_t b = 0; b < kBatches; ++b) {
+    EXPECT_EQ(calls[b].load(), 1) << "batch " << b;
+    ASSERT_EQ(results[b].outcomes.size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ExpectSameResults(reference[i], results[b].outcomes[i], "callback");
+    }
+  }
+}
+
+TEST(LiveEngineAsyncTest, EmptyBatchCompletesImmediately) {
+  TemporalGraph g = ServeGraph();
+  auto live = LiveQueryEngine::Create(g);
+  ASSERT_TRUE(live.ok());
+  BatchResult result = SubmitFuture(**live, {}).get();
+  EXPECT_TRUE(result.outcomes.empty());
+}
+
+TEST(LiveEngineAsyncTest, DestructorDrainsInFlightBatches) {
+  TemporalGraph g = ServeGraph();
+  GraphStats stats = ComputeGraphStats(g);
+  std::vector<Query> queries = MixedQueries(g, stats.kmax);
+  ThreadPool pool(4);
+  std::vector<std::future<BatchResult>> futures;
+  {
+    LiveEngineOptions options;
+    options.engine.pool = &pool;
+    auto live = LiveQueryEngine::Create(g, options);
+    ASSERT_TRUE(live.ok());
+    for (int b = 0; b < 8; ++b) {
+      futures.push_back(SubmitFuture(**live, {queries}));
+    }
+    // The engine leaves scope with batches in flight: its destructor must
+    // block until every future is fulfillable.
+  }
+  for (std::future<BatchResult>& f : futures) {
+    BatchResult result = f.get();
+    EXPECT_EQ(result.outcomes.size(), queries.size());
+    for (const RunOutcome& out : result.outcomes) {
+      (void)out;  // fulfilled — that is the assertion
+    }
+  }
+}
+
+TEST(LiveEngineDeadlineTest, SubmitExpiredDeadlineSettlesWithTimeout) {
   TemporalGraph g = ServeGraph();
   GraphStats gstats = ComputeGraphStats(g);
   std::vector<Query> queries = MixedQueries(g, gstats.kmax);
   ThreadPool pool(2);
-  QueryEngineOptions options;
-  options.pool = &pool;
-  auto engine = QueryEngine::Create(g, options);
-  ASSERT_TRUE(engine.ok());
+  LiveEngineOptions options;
+  options.engine.pool = &pool;
+  auto live = LiveQueryEngine::Create(g, options);
+  ASSERT_TRUE(live.ok());
+  QueryEngine* engine = &(*live)->snapshot()->engine();
   BatchResult result =
-      SubmitFuture(*engine, {queries, Deadline::AfterSeconds(-1.0)}).get();
+      SubmitFuture(**live, {queries, Deadline::AfterSeconds(-1.0)}).get();
   ASSERT_EQ(result.outcomes.size(), queries.size());
   for (const RunOutcome& out : result.outcomes) {
     EXPECT_EQ(out.status.code(), StatusCode::kTimeout);
@@ -497,15 +510,16 @@ TEST(QueryEngineDeadlineTest, SubmitExpiredDeadlineSettlesWithTimeout) {
   EXPECT_EQ(engine->stats().executed, 0u);
 }
 
-TEST(QueryEngineDeadlineTest, BatchExpiringInQueueIsDroppedAtDispatch) {
+TEST(LiveEngineDeadlineTest, BatchExpiringInQueueIsDroppedAtDispatch) {
   TemporalGraph g = ServeGraph();
   GraphStats gstats = ComputeGraphStats(g);
   std::vector<Query> queries = MixedQueries(g, gstats.kmax);
   ThreadPool pool(2);
-  QueryEngineOptions options;
-  options.pool = &pool;
-  auto engine = QueryEngine::Create(g, options);
-  ASSERT_TRUE(engine.ok());
+  LiveEngineOptions options;
+  options.engine.pool = &pool;
+  auto live = LiveQueryEngine::Create(g, options);
+  ASSERT_TRUE(live.ok());
+  QueryEngine* engine = &(*live)->snapshot()->engine();
 
   // Block every pool worker so the dispatcher cannot run until released;
   // the batch's deadline dies while it sits in the request queue.
@@ -515,7 +529,7 @@ TEST(QueryEngineDeadlineTest, BatchExpiringInQueueIsDroppedAtDispatch) {
     pool.Submit([gate] { gate.wait(); });
   }
   std::future<BatchResult> future =
-      SubmitFuture(*engine, {queries, Deadline::AfterSeconds(0.05)});
+      SubmitFuture(**live, {queries, Deadline::AfterSeconds(0.05)});
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   release.set_value();
   BatchResult result = future.get();
@@ -568,15 +582,17 @@ std::vector<RunOutcome> SerialOutcomes(const TemporalGraph& g,
   return outcomes;
 }
 
-TEST(QueryEngineInlineTest, CachedBatchCompletesOnSubmittingThread) {
+
+TEST(LiveEngineInlineTest, CachedBatchCompletesOnSubmittingThread) {
   TemporalGraph g = ServeGraph();
   std::vector<Query> queries = WindowQueries(0, 6);
   queries.push_back(queries[2]);  // a duplicate is a hit like any other
   ThreadPool pool(2);
-  QueryEngineOptions options;
-  options.pool = &pool;
-  auto engine = QueryEngine::Create(g, options);
-  ASSERT_TRUE(engine.ok());
+  LiveEngineOptions options;
+  options.engine.pool = &pool;
+  auto live = LiveQueryEngine::Create(g, options);
+  ASSERT_TRUE(live.ok());
+  QueryEngine* engine = &(*live)->snapshot()->engine();
   const std::vector<RunOutcome> reference = engine->ServeBatch(queries);
   PoolWedge wedge(&pool, 2);
 
@@ -584,7 +600,7 @@ TEST(QueryEngineInlineTest, CachedBatchCompletesOnSubmittingThread) {
   bool completed = false;
   std::thread::id ran_on;
   BatchResult result;
-  engine->Submit({queries}, [&](BatchResult&& r) {
+  (*live)->Submit({queries}, [&](BatchResult&& r) {
     completed = true;
     ran_on = std::this_thread::get_id();
     result = std::move(r);
@@ -603,20 +619,21 @@ TEST(QueryEngineInlineTest, CachedBatchCompletesOnSubmittingThread) {
   EXPECT_EQ(stats.queries_served, 2 * queries.size());
 }
 
-TEST(QueryEngineInlineTest, CachedBatchQueuedBehindMissesWaitsItsTurn) {
+TEST(LiveEngineInlineTest, CachedBatchQueuedBehindMissesWaitsItsTurn) {
   TemporalGraph g = ServeGraph();
   const std::vector<Query> cached = WindowQueries(0, 6);
   const std::vector<Query> misses = WindowQueries(6, 6);
   ThreadPool pool(2);
-  QueryEngineOptions options;
-  options.pool = &pool;
-  auto engine = QueryEngine::Create(g, options);
-  ASSERT_TRUE(engine.ok());
+  LiveEngineOptions options;
+  options.engine.pool = &pool;
+  auto live = LiveQueryEngine::Create(g, options);
+  ASSERT_TRUE(live.ok());
+  QueryEngine* engine = &(*live)->snapshot()->engine();
   engine->ServeBatch(cached);
   PoolWedge wedge(&pool, 2);
 
-  std::future<BatchResult> miss_future = SubmitFuture(*engine, {misses});
-  std::future<BatchResult> hit_future = SubmitFuture(*engine, {cached});
+  std::future<BatchResult> miss_future = SubmitFuture(**live, {misses});
+  std::future<BatchResult> hit_future = SubmitFuture(**live, {cached});
   // The miss batch is in flight, so the cached batch queues behind it
   // instead of overtaking: dispatch stays FIFO under load.
   EXPECT_EQ(hit_future.wait_for(std::chrono::milliseconds(50)),
@@ -637,7 +654,7 @@ TEST(QueryEngineInlineTest, CachedBatchQueuedBehindMissesWaitsItsTurn) {
   }
 }
 
-TEST(QueryEngineInlineTest, HalfCachedBatchLooksEachQueryUpOnce) {
+TEST(LiveEngineInlineTest, HalfCachedBatchLooksEachQueryUpOnce) {
   TemporalGraph g = ServeGraph();
   const std::vector<Query> cached = WindowQueries(0, 4);
   const std::vector<Query> misses = WindowQueries(4, 4);
@@ -647,20 +664,21 @@ TEST(QueryEngineInlineTest, HalfCachedBatchLooksEachQueryUpOnce) {
     batch.push_back(misses[i]);
   }
   ThreadPool pool(2);
-  QueryEngineOptions options;
-  options.pool = &pool;
-  auto engine = QueryEngine::Create(g, options);
-  ASSERT_TRUE(engine.ok());
+  LiveEngineOptions options;
+  options.engine.pool = &pool;
+  auto live = LiveQueryEngine::Create(g, options);
+  ASSERT_TRUE(live.ok());
+  QueryEngine* engine = &(*live)->snapshot()->engine();
   engine->ServeBatch(cached);
   PoolWedge wedge(&pool, 2);
 
-  auto lookups = [&engine] {
+  auto lookups = [engine] {
     const ServeStats stats = engine->stats();
     return stats.cache_hits + stats.cache_misses;
   };
   const uint64_t before = lookups();
   const uint64_t executed_before = engine->stats().executed;
-  std::future<BatchResult> future = SubmitFuture(*engine, {batch});
+  std::future<BatchResult> future = SubmitFuture(**live, {batch});
   // Scanned on the submitting thread: every lookup is already done...
   EXPECT_EQ(lookups(), before + batch.size());
   wedge.Release();
@@ -675,16 +693,17 @@ TEST(QueryEngineInlineTest, HalfCachedBatchLooksEachQueryUpOnce) {
   EXPECT_EQ(engine->stats().executed, executed_before + misses.size());
 }
 
-TEST(QueryEngineShedTest, FullQueueShedsLeastRemainingDeadline) {
+TEST(LiveEngineShedTest, FullQueueShedsLeastRemainingDeadline) {
   TemporalGraph g = ServeGraph();
   GraphStats gstats = ComputeGraphStats(g);
   std::vector<Query> queries = MixedQueries(g, gstats.kmax);
   ThreadPool pool(2);
-  QueryEngineOptions options;
-  options.pool = &pool;
+  LiveEngineOptions options;
+  options.engine.pool = &pool;
   options.async_queue_capacity = 1;  // one queued batch, then the contest
-  auto engine = QueryEngine::Create(g, options);
-  ASSERT_TRUE(engine.ok());
+  auto live = LiveQueryEngine::Create(g, options);
+  ASSERT_TRUE(live.ok());
+  QueryEngine* engine = &(*live)->snapshot()->engine();
   std::vector<RunOutcome> reference = engine->ServeBatch(queries);
   engine->ClearCache();
 
@@ -697,11 +716,11 @@ TEST(QueryEngineShedTest, FullQueueShedsLeastRemainingDeadline) {
   // remaining of all) loses its own contest and is rejected. Throughout,
   // no submission blocks — the pool is wedged until `release`.
   std::future<BatchResult> a =
-      SubmitFuture(*engine, {queries, Deadline::AfterSeconds(5.0)});
+      SubmitFuture(**live, {queries, Deadline::AfterSeconds(5.0)});
   std::future<BatchResult> b =
-      SubmitFuture(*engine, {queries, Deadline::AfterSeconds(50.0)});
+      SubmitFuture(**live, {queries, Deadline::AfterSeconds(50.0)});
   std::future<BatchResult> c =
-      SubmitFuture(*engine, {queries, Deadline::AfterSeconds(0.5)});
+      SubmitFuture(**live, {queries, Deadline::AfterSeconds(0.5)});
   // A and C settle without the pool running at all.
   BatchResult shed_a = a.get();
   BatchResult shed_c = c.get();
@@ -722,25 +741,26 @@ TEST(QueryEngineShedTest, FullQueueShedsLeastRemainingDeadline) {
   EXPECT_EQ(stats.async_batches, 3u);
 }
 
-TEST(QueryEngineShedTest, UnlimitedDeadlineBatchIsNeverEvicted) {
+TEST(LiveEngineShedTest, UnlimitedDeadlineBatchIsNeverEvicted) {
   TemporalGraph g = ServeGraph();
   GraphStats gstats = ComputeGraphStats(g);
   std::vector<Query> queries = MixedQueries(g, gstats.kmax);
   ThreadPool pool(2);
-  QueryEngineOptions options;
-  options.pool = &pool;
+  LiveEngineOptions options;
+  options.engine.pool = &pool;
   options.async_queue_capacity = 1;
-  auto engine = QueryEngine::Create(g, options);
-  ASSERT_TRUE(engine.ok());
+  auto live = LiveQueryEngine::Create(g, options);
+  ASSERT_TRUE(live.ok());
+  QueryEngine* engine = &(*live)->snapshot()->engine();
 
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
   for (int w = 0; w < 2; ++w) {
     pool.Submit([gate] { gate.wait(); });
   }
-  std::future<BatchResult> unlimited = SubmitFuture(*engine, {queries});
+  std::future<BatchResult> unlimited = SubmitFuture(**live, {queries});
   std::future<BatchResult> finite =
-      SubmitFuture(*engine, {queries, Deadline::AfterSeconds(50.0)});
+      SubmitFuture(**live, {queries, Deadline::AfterSeconds(50.0)});
   BatchResult shed = finite.get();  // the finite batch loses to unlimited
   for (const RunOutcome& out : shed.outcomes) {
     EXPECT_EQ(out.status.code(), StatusCode::kResourceExhausted);
@@ -749,6 +769,83 @@ TEST(QueryEngineShedTest, UnlimitedDeadlineBatchIsNeverEvicted) {
   BatchResult served = unlimited.get();
   EXPECT_EQ(served.outcomes.size(), queries.size());
   EXPECT_EQ(engine->stats().batches_shed, 1u);
+}
+
+// One update that keeps the timeline: a new edge at an existing timestamp.
+std::vector<RawTemporalEdge> OneEdgeUpdate(const TemporalGraph& g) {
+  return {RawTemporalEdge{1, 2, g.RawTimestamp(4)}};
+}
+
+TEST(LiveEngineShedTest, QueueBoundHoldsAcrossASwap) {
+  TemporalGraph g = ServeGraph();
+  const std::vector<Query> first = WindowQueries(0, 4);
+  ThreadPool pool(2);
+  LiveEngineOptions options;
+  options.engine.pool = &pool;
+  options.async_queue_capacity = 1;
+  auto live = LiveQueryEngine::Create(g, options);
+  ASSERT_TRUE(live.ok());
+  PoolWedge wedge(&pool, 2);
+
+  // An unlimited miss batch pinned to v0 takes the queue's one slot; the
+  // updater builds v1 on its own pool while the serving pool is wedged.
+  std::future<BatchResult> queued = SubmitFuture(**live, {first});
+  ASSERT_TRUE((*live)->ApplyUpdates(OneEdgeUpdate(g)).get().ok());
+  ASSERT_EQ((*live)->version(), 1u);
+
+  // The swap did not open a fresh queue: a finite-deadline batch pinned to
+  // v1 meets the full one, loses the contest to the unlimited batch, and
+  // settles at once.
+  std::future<BatchResult> late = SubmitFuture(
+      **live, {WindowQueries(4, 4), Deadline::AfterSeconds(50.0)});
+  ASSERT_EQ(late.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::ready);
+  BatchResult shed = late.get();
+  EXPECT_EQ(shed.snapshot_version, 1u);
+  for (const RunOutcome& out : shed.outcomes) {
+    EXPECT_EQ(out.status.code(), StatusCode::kResourceExhausted);
+  }
+  EXPECT_EQ((*live)->snapshot()->engine().stats().batches_shed, 1u);
+
+  wedge.Release();
+  BatchResult served = queued.get();
+  EXPECT_EQ(served.snapshot_version, 0u);
+  const std::vector<RunOutcome> reference = SerialOutcomes(g, first);
+  ASSERT_EQ(served.outcomes.size(), first.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    ExpectSameResults(reference[i], served.outcomes[i], "pinned to v0");
+  }
+}
+
+TEST(LiveEngineAsyncTest, BatchHoldingTheLastPinDestroysItsSnapshot) {
+  TemporalGraph g = ServeGraph();
+  const std::vector<Query> queries = WindowQueries(0, 4);
+  ThreadPool pool(2);
+  LiveEngineOptions options;
+  options.engine.pool = &pool;
+  auto live = LiveQueryEngine::Create(g, options);
+  ASSERT_TRUE(live.ok());
+  std::weak_ptr<const GraphSnapshot> v0 = (*live)->snapshot();
+  PoolWedge wedge(&pool, 2);
+
+  std::promise<std::thread::id> completed_on;
+  uint64_t version = 99;
+  (*live)->Submit({queries}, [&](BatchResult&& result) {
+    version = result.snapshot_version;
+    completed_on.set_value(std::this_thread::get_id());
+  });
+  ASSERT_TRUE((*live)->ApplyUpdates(OneEdgeUpdate(g)).get().ok());
+  // Swapped out: the queued miss batch is v0's last owner.
+  EXPECT_EQ(v0.use_count(), 1);
+
+  wedge.Release();
+  // The batch settles on a pool worker and drops v0 there, before it
+  // counts as settled; nothing waits on the task that destroys v0, so
+  // Shutdown's drain returns.
+  (*live)->Shutdown();
+  EXPECT_TRUE(v0.expired());
+  EXPECT_NE(completed_on.get_future().get(), std::this_thread::get_id());
+  EXPECT_EQ(version, 0u);
 }
 
 }  // namespace
